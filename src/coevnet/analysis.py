@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .netcore import (
     AgentParams,
-    Partition,
     PopulationState,
     TwoLayerNetwork,
+    check_partition,
+    classify_state,
     partition_state,
 )
 
@@ -312,11 +314,50 @@ def _prerequisites(
     return reasons
 
 
-def _within_mass(w: np.ndarray, members: frozenset) -> dict:
+def _within_mass(w: np.ndarray, members) -> dict:
+    """Weight each member keeps inside ``members``, keyed by agent in order."""
     idx = np.fromiter(sorted(members), dtype=int)
     cols = np.zeros(w.shape[0], dtype=bool)
     cols[idx] = True
     return {int(i): float(w[i, cols].sum()) for i in idx}
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+def _rows(values: dict, bounds: tuple) -> list:
+    """One row per agent of ``values`` (agent -> lhs) and per bound
+    ``(name, rhs, sense)``, where ``sense`` is ">", ">=" or "<"; slack is
+    positive on the satisfied side."""
+    rows = []
+    for i, lhs in values.items():
+        for name, rhs, sense in bounds:
+            slack = rhs - lhs if sense == "<" else lhs - rhs
+            rows.append(ConditionRow(name, lhs, rhs, _COMPARE[sense](lhs, rhs), slack, i))
+    return rows
+
+
+def _camp_rows(
+    net: TwoLayerNetwork, camps: tuple, pos_bounds: tuple, neg_bounds: tuple | None = None
+) -> tuple:
+    """Rows for the within-camp opinion-layer weight of every member of the
+    (positive, negative) ``camps``: the positive camp against ``pos_bounds``,
+    the negative one against ``neg_bounds`` (default: the same), each bound
+    name prefixed by its camp tag."""
+    rows = []
+    for camp, tag, bounds in zip(camps, ("pos", "neg"), (pos_bounds, neg_bounds or pos_bounds)):
+        tagged = tuple((f"{tag}_{name}", rhs, sense) for name, rhs, sense in bounds)
+        rows += _rows(_within_mass(net.W.weights, camp), tagged)
+    return tuple(rows)
+
+
+def _polarized_camps(z0: PopulationState, reasons: list) -> tuple | None:
+    """(positive, negative) camps of a polarized ``z0``; otherwise None, with
+    the reason appended to ``reasons``."""
+    classification = classify_state(z0)
+    if classification.kind != "polarized":
+        reasons.append("initial state must be polarized")
+    return classification.partition
 
 
 # --- checkers ------------------------------------------------------------------
@@ -334,53 +375,39 @@ def check_thm2(
         return _not_applicable("thm2", reasons)
     alpha = params.alpha
     parts = partition_state(z0)
-    plus_set = parts.pos_aligned
-    minus_set = parts.neg_misaligned
-    q_cohesive = 1.0 / (alpha + 2.0)
-    q_diffusive = (alpha + 1.0) / (alpha + 2.0)
     rows = []
     notes = []
-    if plus_set:
-        for i, mass in _within_mass(net.A.weights, plus_set).items():
-            total = float(net.A.weights[i].sum())
-            ratio = mass / total
-            rows.append(
-                ConditionRow(
-                    name="cohesive",
-                    lhs=ratio,
-                    rhs=q_cohesive,
-                    ok=ratio >= q_cohesive,
-                    slack=ratio - q_cohesive,
-                    agent=i,
-                )
-            )
-    else:
-        notes.append("+1 camp empty; cohesiveness vacuously satisfied")
-    if minus_set:
-        for i, mass in _within_mass(net.A.weights, minus_set).items():
-            total = float(net.A.weights[i].sum())
-            ratio = mass / total
-            rows.append(
-                ConditionRow(
-                    name="diffusive",
-                    lhs=ratio,
-                    rhs=q_diffusive,
-                    ok=ratio < q_diffusive,
-                    slack=q_diffusive - ratio,
-                    agent=i,
-                )
-            )
-    else:
-        notes.append("-1 camp empty; diffusiveness vacuously satisfied")
+    for camp, bound, empty_note in (
+        (parts.pos_aligned, ("cohesive", 1.0 / (alpha + 2.0), ">="),
+         "+1 camp empty; cohesiveness vacuously satisfied"),
+        (parts.neg_misaligned, ("diffusive", (alpha + 1.0) / (alpha + 2.0), "<"),
+         "-1 camp empty; diffusiveness vacuously satisfied"),
+    ):
+        if not camp:
+            notes.append(empty_note)
+            continue
+        ratios = {
+            i: mass / float(net.A.weights[i].sum())
+            for i, mass in _within_mass(net.A.weights, camp).items()
+        }
+        rows += _rows(ratios, (bound,))
     return TheoremReport("thm2", True, tuple(rows), tuple(notes))
 
 
+def _thm3_branches(beta: float, lam: float) -> tuple:
+    """Both candidate bounds of each camp: (vp branches, vn branches); the
+    positive-camp threshold is the larger vp branch, the negative-camp one
+    the smaller vn branch."""
+    shared = (1.0 - beta) / (2.0 * (1.0 - lam * beta))
+    return ((1.0 - 2.0 * lam) / (1.0 - lam), 1.0 - shared), (lam / (1.0 - lam), shared)
+
+
 def thm3_vp_threshold(beta: float, lam: float) -> float:
-    return max((1.0 - 2.0 * lam) / (1.0 - lam), 1.0 - (1.0 - beta) / (2.0 * (1.0 - lam * beta)))
+    return max(_thm3_branches(beta, lam)[0])
 
 
 def thm3_vn_threshold(beta: float, lam: float) -> float:
-    return min(lam / (1.0 - lam), (1.0 - beta) / (2.0 * (1.0 - lam * beta)))
+    return min(_thm3_branches(beta, lam)[1])
 
 
 def check_thm3(
@@ -397,40 +424,20 @@ def check_thm3(
         net, params, want_eps=1,
         require_symmetric=False, require_same_layers=True, require_alpha_zero=True,
     )
-    parts = partition_state(z0)
-    pos, neg = parts.aligned_pair()
-    if len(pos) + len(neg) != z0.n or not pos or not neg:
-        reasons.append("initial state must be polarized")
+    camps = _polarized_camps(z0, reasons)
     if reasons:
         return _not_applicable("thm3", reasons)
-    lam = float(params.lam[0])
-    beta = float(params.beta[0])
-    branch_vp = [(1.0 - 2.0 * lam) / (1.0 - lam), 1.0 - (1.0 - beta) / (2.0 * (1.0 - lam * beta))]
-    branch_vn = [lam / (1.0 - lam), (1.0 - beta) / (2.0 * (1.0 - lam * beta))]
-    t_vp = max(branch_vp)
-    t_vn = min(branch_vn)
+    branch_vp, branch_vn = _thm3_branches(float(params.beta[0]), float(params.lam[0]))
     notes = (
         "pos camp bound binds at branch "
         + ("(1-2*lam)/(1-lam)" if branch_vp[0] >= branch_vp[1] else "1-(1-beta)/(2*(1-lam*beta))"),
         "neg camp bound binds at branch "
         + ("lam/(1-lam)" if branch_vn[0] <= branch_vn[1] else "(1-beta)/(2*(1-lam*beta))"),
     )
-    rows = []
-    for i, mass in _within_mass(net.W.weights, pos).items():
-        rows.append(
-            ConditionRow(
-                name="pos_within_above", lhs=mass, rhs=t_vp,
-                ok=mass > t_vp, slack=mass - t_vp, agent=i,
-            )
-        )
-    for i, mass in _within_mass(net.W.weights, neg).items():
-        rows.append(
-            ConditionRow(
-                name="neg_within_below", lhs=mass, rhs=t_vn,
-                ok=mass < t_vn, slack=t_vn - mass, agent=i,
-            )
-        )
-    return TheoremReport("thm3", True, tuple(rows), notes)
+    rows = _camp_rows(
+        net, camps, (("within_above", max(branch_vp), ">"),), (("within_below", min(branch_vn), "<"),)
+    )
+    return TheoremReport("thm3", True, rows, notes)
 
 
 def thm5_rhs(beta: float, lam: float, alpha: float = 0.0) -> float:
@@ -477,11 +484,7 @@ class PartitionDegrees:
 def partition_degrees(
     partition: tuple, net: TwoLayerNetwork
 ) -> PartitionDegrees:
-    pos, neg = (frozenset(int(i) for i in side) for side in partition)
-    if not pos or not neg:
-        raise ValueError("both partition sides must be nonempty")
-    if pos & neg or pos | neg != frozenset(range(net.n)):
-        raise ValueError("partition sides must be disjoint and cover all agents")
+    pos, neg = check_partition(partition, net.n)
     w = net.W.weights
     p_mass = list(_within_mass(w, pos).values())
     n_mass = list(_within_mass(w, neg).values())
@@ -561,10 +564,7 @@ def check_thm7(
         beta = float(params.beta[0])
         if not beta < 1.0 / (2.0 - lam):
             reasons.append("beta must be strictly below 1/(2-lam)")
-    parts = partition_state(z0)
-    pos, neg = parts.aligned_pair()
-    if len(pos) + len(neg) != z0.n or not pos or not neg:
-        reasons.append("initial state must be polarized")
+    camps = _polarized_camps(z0, reasons)
     if reasons:
         return _not_applicable("thm7", reasons)
     lower, upper = thm7_bounds(beta, lam)
@@ -574,22 +574,10 @@ def check_thm7(
             f"admissible within-camp interval ({lower:.6g}, {upper:.6g}) has no "
             "overlap with [0, 1]; no network can satisfy these conditions"
         )
-    rows = []
-    for camp, tag in ((pos, "pos"), (neg, "neg")):
-        for i, mass in _within_mass(net.W.weights, camp).items():
-            rows.append(
-                ConditionRow(
-                    name=f"{tag}_within_above_lower", lhs=mass, rhs=lower,
-                    ok=mass > lower, slack=mass - lower, agent=i,
-                )
-            )
-            rows.append(
-                ConditionRow(
-                    name=f"{tag}_within_below_upper", lhs=mass, rhs=upper,
-                    ok=mass < upper, slack=upper - mass, agent=i,
-                )
-            )
-    return TheoremReport("thm7", True, tuple(rows), tuple(notes))
+    rows = _camp_rows(
+        net, camps, (("within_above_lower", lower, ">"), ("within_below_upper", upper, "<"))
+    )
+    return TheoremReport("thm7", True, rows, tuple(notes))
 
 
 def coo_pol_rhs(beta: float, lam: float) -> float:
@@ -608,25 +596,11 @@ def check_coordination_polarized(
     reasons = _prerequisites(
         net, params, want_eps=1, require_same_layers=True, require_alpha_zero=True
     )
-    parts = partition_state(z0)
-    pos, neg = parts.aligned_pair()
-    if len(pos) + len(neg) != z0.n or not pos or not neg:
-        reasons.append("initial state must be polarized")
+    camps = _polarized_camps(z0, reasons)
     if reasons:
         return _not_applicable("eq22", reasons)
-    lam = float(params.lam[0])
-    beta = float(params.beta[0])
-    rhs = coo_pol_rhs(beta, lam)
-    rows = []
-    for camp, tag in ((pos, "pos"), (neg, "neg")):
-        for i, mass in _within_mass(net.W.weights, camp).items():
-            rows.append(
-                ConditionRow(
-                    name=f"{tag}_within_above", lhs=mass, rhs=rhs,
-                    ok=mass > rhs, slack=mass - rhs, agent=i,
-                )
-            )
-    return TheoremReport("eq22", True, tuple(rows))
+    rhs = coo_pol_rhs(float(params.beta[0]), float(params.lam[0]))
+    return TheoremReport("eq22", True, _camp_rows(net, camps, (("within_above", rhs, ">"),)))
 
 
 CHECKERS = {

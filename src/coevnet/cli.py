@@ -22,7 +22,6 @@ import numpy as np
 
 from . import analysis, dynamics, genesis, netcore, oracle
 
-N_MAX_ENUMERATION = oracle.DEFAULT_N_MAX
 _Z95 = 1.959963984540054
 
 
@@ -91,6 +90,22 @@ def _read_config(path: str | None, preset: str | None) -> configparser.ConfigPar
     return cfg
 
 
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _option(cfg: configparser.ConfigParser, section: str, key: str, fallback=None, kind=int):
+    """``[section] key`` as ``kind`` (int, float or bool), or ``fallback`` when
+    the key is absent; any other value is a ConfigError."""
+    if not cfg.has_option(section, key):
+        return fallback
+    try:
+        return cfg.getboolean(section, key) if kind is bool else kind(cfg.get(section, key))
+    except ValueError:
+        raise ConfigError(
+            f"[{section}] {key} must be {_EXPECTED[kind]}, got {cfg.get(section, key)!r}"
+        ) from None
+
+
 def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     values = [float(p) for p in parts]
@@ -106,19 +121,22 @@ def _parse_params(cfg: configparser.ConfigParser, n: int) -> netcore.AgentParams
     try:
         lam = _parse_vector(section.get("lambda", "0.5"), n, "lambda")
         beta = _parse_vector(section.get("beta", "0.5"), n, "beta")
-        eps = _parse_vector(section.get("epsilon", "+1"), n, "epsilon").astype(int)
+        eps = _parse_vector(section.get("epsilon", "+1"), n, "epsilon")
         alpha = float(section.get("alpha", "0"))
         return netcore.AgentParams(lam=lam, beta=beta, eps=eps, alpha=alpha)
     except ValueError as exc:
         raise ConfigError(f"invalid [params]: {exc}") from exc
 
 
-def _parse_split(cfg_net, n: int) -> tuple | None:
-    text = cfg_net.get("split", "").strip()
+def _parse_split(cfg: configparser.ConfigParser, n: int) -> tuple | None:
+    text = cfg.get("network", "split", fallback="").strip()
     if not text:
         return None
-    sizes = [int(p) for p in text.split()]
-    if len(sizes) != 2 or sizes[0] < 1 or sizes[1] < 1 or sum(sizes) != n:
+    try:
+        sizes = [int(p) for p in text.split()]
+    except ValueError:
+        sizes = []
+    if len(sizes) != 2 or min(sizes) < 1 or sum(sizes) != n:
         raise ConfigError(f"split must name two positive camp sizes summing to n={n}")
     return tuple(range(sizes[0])), tuple(range(sizes[0], n))
 
@@ -126,6 +144,8 @@ def _parse_split(cfg_net, n: int) -> tuple | None:
 def _derived_seeds(master: int | None) -> dict | None:
     if master is None:
         return None
+    if master < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     rng = np.random.default_rng(np.random.SeedSequence(master))
     return {
         "network": int(rng.integers(2 ** 63)),
@@ -135,76 +155,57 @@ def _derived_seeds(master: int | None) -> dict | None:
 
 
 def _build_network(
-    cfg: configparser.ConfigParser,
-    params_hint: netcore.AgentParams | None,
-    seeds: dict | None,
-) -> tuple[netcore.TwoLayerNetwork, int, tuple | None]:
+    cfg: configparser.ConfigParser, seeds: dict | None
+) -> tuple[netcore.TwoLayerNetwork, netcore.AgentParams, tuple | None]:
+    """Network, agent parameters and camp split of a scenario."""
     if not cfg.has_section("network"):
         raise ConfigError("missing [network] section")
-    section = cfg["network"]
-    source = section.get("source", "generate")
+    source = cfg.get("network", "source", fallback="generate")
     if source == "file":
-        path = section.get("path", "")
+        path = cfg.get("network", "path", fallback="")
         if not path:
             raise ConfigError("[network] source=file needs path=")
         try:
             net = netcore.load_network(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load network {path}: {exc}") from exc
-        return net, net.n, _parse_split(section, net.n)
+        return net, _parse_params(cfg, net.n), _parse_split(cfg, net.n)
     if source != "generate":
         raise ConfigError(f"[network] source must be file or generate, got {source!r}")
-    try:
-        n = section.getint("n")
-    except (TypeError, ValueError):
-        raise ConfigError("[network] n= must be an integer")
+    n = _option(cfg, "network", "n")
     if n is None or n < 2:
         raise ConfigError("[network] n= must be at least 2")
-    seed = seeds["network"] if seeds else section.getint("seed", fallback=0)
-    kind = section.get("kind", "random_symmetric")
-    zero_diagonal = section.getboolean("zero_diagonal", fallback=True)
-    split = _parse_split(section, n)
-    try:
-        if kind == "random_symmetric":
-            graph = genesis.random_symmetric_stochastic(n, seed, zero_diagonal)
-        elif kind == "complete_bipartite":
-            if split is None:
-                raise ConfigError("complete_bipartite needs split=")
-            graph = genesis.complete_bipartite(split, seed,
-                                               uniform=section.getboolean("uniform", fallback=False))
-        elif kind == "condition_rescaled":
-            if split is None:
-                raise ConfigError("condition_rescaled needs split=")
-            theorem = section.get("theorem", "")
-            if params_hint is None:
-                raise ConfigError("condition_rescaled needs [params]")
-            graph = genesis.condition_rescaled(theorem, split, params_hint, n, seed)
-        else:
-            raise ConfigError(f"unknown network kind {kind!r}")
-    except genesis.InfeasibleConditionError as exc:
-        raise ConfigError(str(exc)) from exc
-    opinion_layer = section.get("opinion_layer", "same")
-    if opinion_layer == "same":
-        net = netcore.TwoLayerNetwork.single_layer(graph)
-    elif opinion_layer == "random_symmetric":
-        w = genesis.random_symmetric_stochastic(n, seed + 1, zero_diagonal)
-        net = netcore.TwoLayerNetwork(A=graph, W=w)
-    else:
+    params = _parse_params(cfg, n)
+    seed = seeds["network"] if seeds else _option(cfg, "network", "seed", 0)
+    split = _parse_split(cfg, n)
+    zero_diagonal = _option(cfg, "network", "zero_diagonal", True, bool)
+    uniform = _option(cfg, "network", "uniform", False, bool)
+    opinion_layer = cfg.get("network", "opinion_layer", fallback="same")
+    if opinion_layer not in ("same", "random_symmetric"):
         raise ConfigError("[network] opinion_layer must be same or random_symmetric")
-    return net, n, split
+    kind = cfg.get("network", "kind", fallback="random_symmetric")
+    theorem = cfg.get("network", "theorem", fallback=None)
+    try:
+        spec = genesis.GenSpec(kind, n, seed, zero_diagonal, theorem, split, uniform)
+        graph = genesis.build_graph(spec, params)
+        if opinion_layer == "same":
+            net = netcore.TwoLayerNetwork.single_layer(graph)
+        else:
+            w = genesis.random_symmetric_stochastic(n, seed + 1, zero_diagonal)
+            net = netcore.TwoLayerNetwork(A=graph, W=w)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [network]: {exc}") from exc
+    return net, params, split
 
 
 def _build_scenario(args) -> Scenario:
     cfg = _read_config(getattr(args, "config", None), getattr(args, "reproduce", None))
     seeds = _derived_seeds(getattr(args, "seed", None))
-    pre_n = cfg.getint("network", "n", fallback=None)
-    params_hint = _parse_params(cfg, pre_n) if pre_n else None
-    net, n, split = _build_network(cfg, params_hint, seeds)
-    params = params_hint if params_hint is not None and params_hint.n == n else _parse_params(cfg, n)
+    net, params, split = _build_network(cfg, seeds)
+    n = net.n
 
-    init = cfg["initial"] if cfg.has_section("initial") else {}
-    initial_kind = init.get("kind", "random")
-    initial_seed = seeds["initial"] if seeds else int(init.get("seed", "1"))
+    initial_kind = cfg.get("initial", "kind", fallback="random")
+    initial_seed = seeds["initial"] if seeds else _option(cfg, "initial", "seed", 1)
     partition = split
     try:
         z0 = genesis.initial_state(initial_kind, n, initial_seed,
@@ -212,29 +213,28 @@ def _build_scenario(args) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"invalid [initial]: {exc}") from exc
 
-    sched = cfg["schedule"] if cfg.has_section("schedule") else {}
-    sched_kind = sched.get("kind", "uniform_random")
-    sched_seed = seeds["schedule"] if seeds else int(sched.get("seed", "2"))
+    sched_kind = cfg.get("schedule", "kind", fallback="uniform_random")
+    sched_seed = seeds["schedule"] if seeds else _option(cfg, "schedule", "seed", 2)
     if sched_kind == "round_robin":
         schedule = dynamics.ActivationSchedule.round_robin(n)
     elif sched_kind == "uniform_random":
-        schedule = dynamics.ActivationSchedule.uniform_random(n, sched_seed)
+        try:
+            schedule = dynamics.ActivationSchedule.uniform_random(n, sched_seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [schedule]: {exc}") from exc
     else:
         raise ConfigError(f"unknown schedule kind {sched_kind!r}")
 
-    stop_cfg = cfg["stop"] if cfg.has_section("stop") else {}
-    max_steps = int(stop_cfg.get("max_steps", str(600 * n)))
-    opinion_tol = float(stop_cfg.get("opinion_tol", str(dynamics.DEFAULT_OPINION_TOL)))
-    window_text = stop_cfg.get("window", "").strip()
-    window = int(window_text) if window_text else None
+    max_steps = _option(cfg, "stop", "max_steps", 600 * n)
+    opinion_tol = _option(cfg, "stop", "opinion_tol", dynamics.DEFAULT_OPINION_TOL, float)
+    blank_window = not cfg.get("stop", "window", fallback="").strip()
+    window = None if blank_window else _option(cfg, "stop", "window")
     try:
         stop = dynamics.StopCriterion(max_steps=max_steps, opinion_tol=opinion_tol, window=window)
     except ValueError as exc:
         raise ConfigError(f"invalid [stop]: {exc}") from exc
 
-    outdir = getattr(args, "out", None) or (
-        cfg.get("output", "dir", fallback=None) if cfg.has_section("output") else None
-    )
+    outdir = getattr(args, "out", None) or cfg.get("output", "dir", fallback=None)
     return Scenario(
         net=net, params=params, z0=z0, schedule=schedule, stop=stop,
         partition=partition, initial_kind=initial_kind, initial_seed=initial_seed,
@@ -246,7 +246,7 @@ def _build_scenario(args) -> Scenario:
 
 
 def _write_json(path: str, payload) -> None:
-    netcore._atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    netcore.atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _classification_dict(cls: netcore.Classification) -> dict:
@@ -295,7 +295,7 @@ def cmd_simulate(args) -> int:
             for t, state in enumerate(trace.states):
                 value = analysis.potential(state, scenario.net, scenario.params).value
                 lines.append(f"{t},{value:.17g}")
-            netcore._atomic_write_text(
+            netcore.atomic_write_text(
                 os.path.join(scenario.outdir, "potential.csv"), "\n".join(lines) + "\n"
             )
             result["potential_series"] = "potential.csv"
@@ -331,16 +331,15 @@ def cmd_check(args) -> int:
 
 def cmd_enumerate(args) -> int:
     scenario = _build_scenario(args)
-    if scenario.net.n > N_MAX_ENUMERATION:
-        print(f"error: enumeration supports at most n_max={N_MAX_ENUMERATION} agents, "
-              f"got n={scenario.net.n}", file=sys.stderr)
-        return 1
-    candidates = oracle.enumerate_equilibria(scenario.net, scenario.params)
+    try:
+        candidates = oracle.enumerate_equilibria(scenario.net, scenario.params)
+    except ValueError as exc:  # more agents than the oracle's n_max
+        raise ConfigError(str(exc)) from exc
     text = oracle.equilibria_to_json(candidates)
     print(text)
     if scenario.outdir:
         os.makedirs(scenario.outdir, exist_ok=True)
-        netcore._atomic_write_text(
+        netcore.atomic_write_text(
             os.path.join(scenario.outdir, "equilibria.json"), text + "\n"
         )
     return 0
@@ -357,7 +356,7 @@ def cmd_contour(args) -> int:
     grid = analysis.interior_grid(args.resolution)
     lines = analysis.contour_csv_lines(args.function, grid, grid)
     try:
-        netcore._atomic_write_text(args.out, "\n".join(lines) + "\n")
+        netcore.atomic_write_text(args.out, "\n".join(lines) + "\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1

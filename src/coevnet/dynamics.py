@@ -15,34 +15,61 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .netcore import AgentParams, PopulationState, TwoLayerNetwork
+from .netcore import AgentParams, PopulationState, TwoLayerNetwork, atomic_write_text
 
 DEFAULT_OPINION_TOL = 1e-10
 
 
-def discriminants(
-    z: PopulationState, net: TwoLayerNetwork, params: AgentParams
+def action_bracket(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Each neighbour's contribution 2x + alpha(1 + x) to the action sum of the
+    discriminant, for actions ``x`` as floats."""
+    return 2.0 * x + alpha * (1.0 + x)
+
+
+def discriminant_from_sums(
+    action_sum: np.ndarray,
+    opinion_sum: np.ndarray,
+    params: AgentParams,
+    rows=slice(None),
 ) -> np.ndarray:
-    """Discriminant of every agent at state ``z``.
+    """Discriminant of agents ``rows`` from their neighbourhood sums
+    ``A[i] @ action_bracket(x)`` and ``W[i] @ y``.
+
+    With the default ``rows`` the sums hold every agent on their last axis
+    (leading batch axes broadcast); with one agent index they are scalars.
+    """
+    lam, beta = params.lam[rows], params.beta[rows]
+    return (params.eps[rows] * lam * (1.0 - beta) / 2.0) * action_sum + (
+        2.0 * (1.0 - lam) * lam * beta
+    ) * opinion_sum
+
+
+def discriminants(
+    z: PopulationState,
+    net: TwoLayerNetwork,
+    params: AgentParams,
+    agents: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Discriminant of every agent at state ``z``, or of ``agents`` in order.
 
     Positive favours action +1, negative favours -1, zero triggers inertia.
+    The full form uses whole-matrix products; a selection uses one row dot
+    per agent, which is what the simulation steps evaluate (the two differ in
+    the last bits).
     """
-    x = z.actions.astype(float)
-    bracket = 2.0 * x + params.alpha * (1.0 + x)
-    action_term = (params.eps * params.lam * (1.0 - params.beta) / 2.0) * (
-        net.A.weights @ bracket
+    bracket = action_bracket(z.actions.astype(float), params.alpha)
+    a, w = net.A.weights, net.W.weights
+    if agents is None:
+        return discriminant_from_sums(a @ bracket, w @ z.opinions, params)
+    return np.array(
+        [discriminant_from_sums(a[i] @ bracket, w[i] @ z.opinions, params, i) for i in agents],
+        dtype=float,
     )
-    opinion_term = (2.0 * (1.0 - params.lam) * params.lam * params.beta) * (
-        net.W.weights @ z.opinions
-    )
-    return action_term + opinion_term
 
 
 def discriminant(
@@ -51,23 +78,7 @@ def discriminant(
     """Discriminant of a single agent (index 0-based)."""
     if not 0 <= i < z.n:
         raise IndexError(f"agent index {i} out of range for n={z.n}")
-    x = z.actions.astype(float)
-    bracket = 2.0 * x + params.alpha * (1.0 + x)
-    action = (
-        params.eps[i]
-        * params.lam[i]
-        * (1.0 - params.beta[i])
-        / 2.0
-        * float(net.A.weights[i] @ bracket)
-    )
-    opinion = (
-        2.0
-        * (1.0 - params.lam[i])
-        * params.lam[i]
-        * params.beta[i]
-        * float(net.W.weights[i] @ z.opinions)
-    )
-    return action + opinion
+    return float(discriminants(z, net, params, (i,))[0])
 
 
 def sign_with_inertia(delta: float, x_current: int, tie_tol: float = 0.0) -> int:
@@ -91,23 +102,12 @@ def _update(
 ) -> tuple[PopulationState, dict]:
     x_new = z.actions.copy()
     y_new = z.opinions.copy()
-    x_f = z.actions.astype(float)
-    bracket = 2.0 * x_f + params.alpha * (1.0 + x_f)
-    deltas: dict = {}
-    for i in idx:
-        mixed_opinion = float(net.W.weights[i] @ z.opinions)
-        delta = (
-            params.eps[i]
-            * params.lam[i]
-            * (1.0 - params.beta[i])
-            / 2.0
-            * float(net.A.weights[i] @ bracket)
-            + 2.0 * (1.0 - params.lam[i]) * params.lam[i] * params.beta[i] * mixed_opinion
-        )
+    deltas = dict(zip(idx, discriminants(z, net, params, idx).tolist()))
+    for i, delta in deltas.items():
         s = sign_with_inertia(delta, int(z.actions[i]), tie_tol)
         x_new[i] = s
+        mixed_opinion = float(net.W.weights[i] @ z.opinions)
         y_new[i] = (1.0 - params.lam[i]) * mixed_opinion + params.lam[i] * s
-        deltas[i] = float(delta)
     return PopulationState(actions=x_new, opinions=y_new), deltas
 
 
@@ -158,8 +158,8 @@ class ActivationSchedule:
         if self.kind == "round_robin":
             object.__setattr__(self, "persistence", self.n)
         elif self.kind == "uniform_random":
-            if self.seed is None:
-                raise ValueError("uniform_random schedule needs a seed")
+            if self.seed is None or self.seed < 0:
+                raise ValueError("uniform_random schedule needs a non-negative seed")
         elif self.kind == "explicit":
             sets = tuple(frozenset(int(i) for i in s) for s in self.explicit_sets)
             if not sets:
@@ -258,7 +258,7 @@ class StopCriterion:
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.opinion_tol <= 0.0:
+        if not self.opinion_tol > 0.0:  # also rejects NaN
             raise ValueError("opinion_tol must be positive")
         if self.window is not None and not 1 <= self.window <= self.max_steps:
             raise ValueError("window must satisfy 1 <= window <= max_steps")
@@ -407,19 +407,6 @@ def simulate(
 # --- trace export ------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_trace_jsonl(trace: Trace, path: str) -> None:
     """One record per step (plus a t=0 record); agent ids are 1-based."""
     lines = []
@@ -440,7 +427,7 @@ def write_trace_jsonl(trace: Trace, path: str) -> None:
             "delta": {str(i + 1): d for i, d in sorted(trace.deltas[t].items())},
         }
         lines.append(json.dumps(record, sort_keys=True))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace_jsonl(path: str) -> list[dict]:
@@ -459,7 +446,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         cells += [str(int(v)) for v in state.actions]
         cells += [f"{v:.17g}" for v in state.opinions]
         rows.append(",".join(cells))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write_text(path, "\n".join(rows) + "\n")
 
 
 def read_trace_csv(path: str) -> list[dict]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .netcore import AgentParams, PopulationState, TwoLayerNetwork, WeightedGraph
+from .netcore import AgentParams, PopulationState, TwoLayerNetwork, WeightedGraph, check_partition
 
 _SINKHORN_TOL = 1e-12
 _SINKHORN_PLATEAU = 1e-13
@@ -95,16 +95,6 @@ def random_symmetric_stochastic(
         diag = rng.random(n)
         np.fill_diagonal(m, diag)
     return WeightedGraph(_sym_sinkhorn(m))
-
-
-def _check_partition(partition: tuple, n: int) -> tuple:
-    pos = tuple(sorted(int(i) for i in partition[0]))
-    neg = tuple(sorted(int(i) for i in partition[1]))
-    if not pos or not neg:
-        raise ValueError("both partition sides must be nonempty")
-    if set(pos) & set(neg) or set(pos) | set(neg) != set(range(n)):
-        raise ValueError("partition sides must be disjoint and cover 0..n-1")
-    return pos, neg
 
 
 def _sym_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -242,7 +232,7 @@ def condition_rescaled(
         raise ValueError(f"unknown rescaling target {theorem!r}; expected one of {RESCALED_TARGETS}")
     if not params.homogeneous():
         raise ValueError("condition rescaling needs homogeneous parameters")
-    pos, neg = _check_partition(partition, n)
+    pos, neg = check_partition(partition, n)
     lam = float(params.lam[0])
     beta = float(params.beta[0])
 
@@ -313,7 +303,7 @@ def complete_bipartite(
     matrix supported on cross edges forces both camps to carry equal total
     mass.  With ``uniform`` every cross entry is 1/|camp|."""
     n = len(partition[0]) + len(partition[1])
-    pos, neg = _check_partition(partition, n)
+    pos, neg = check_partition(partition, n)
     if len(pos) != len(neg):
         raise ValueError(
             "complete-bipartite generation needs equally sized camps; "
@@ -352,7 +342,7 @@ def initial_state(
     if kind == "polarized":
         if partition is None:
             raise ValueError("polarized initial state needs a partition")
-        pos, neg = _check_partition(partition, n)
+        pos, neg = check_partition(partition, n)
         x = np.full(n, -1, dtype=int)
         x[list(pos)] = 1
         y = np.empty(n)
@@ -361,7 +351,7 @@ def initial_state(
         return PopulationState(actions=x, opinions=y)
     if kind == "positive_opinions":
         if partition is not None:
-            pos, neg = _check_partition(partition, n)
+            pos, neg = check_partition(partition, n)
             x = np.full(n, -1, dtype=int)
             x[list(pos)] = 1
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -109,17 +110,19 @@ class AgentParams:
     def __post_init__(self) -> None:
         lam = np.array(self.lam, dtype=float)
         beta = np.array(self.beta, dtype=float)
-        eps = np.array(self.eps, dtype=int)
+        eps = np.array(self.eps)
         if not (lam.ndim == beta.ndim == eps.ndim == 1):
             raise ValueError("lam, beta, eps must be 1-d vectors")
         if not (lam.size == beta.size == eps.size >= 1):
             raise ValueError("lam, beta, eps must have one entry per agent")
-        if np.any(lam <= 0.0) or np.any(lam >= 1.0):
+        # Written as "inside" tests so NaN, for which every comparison is false, fails too.
+        if not np.all((lam > 0.0) & (lam < 1.0)):
             raise ValueError("lam entries must lie strictly in (0, 1)")
-        if np.any(beta <= 0.0) or np.any(beta >= 1.0):
+        if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ValueError("beta entries must lie strictly in (0, 1)")
-        if not np.all(np.isin(eps, (-1, 1))):
+        if not np.all(np.isin(eps, (-1, 1))):  # before the int cast, so 1.7 is no +1
             raise ValueError("eps entries must be -1 or +1")
+        eps = eps.astype(int)
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError("alpha must be a finite non-negative real")
         object.__setattr__(self, "lam", _frozen(lam))
@@ -208,6 +211,17 @@ class Partition:
     def aligned_pair(self) -> tuple[frozenset, frozenset]:
         """(positive camp, negative camp) of the aligned agents."""
         return self.pos_aligned, self.neg_aligned
+
+
+def check_partition(partition: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate a two-camp split of 0..n-1 and return both camps sorted."""
+    pos = tuple(sorted(int(i) for i in partition[0]))
+    neg = tuple(sorted(int(i) for i in partition[1]))
+    if not pos or not neg:
+        raise ValueError("both partition sides must be nonempty")
+    if set(pos) & set(neg) or set(pos) | set(neg) != set(range(n)):
+        raise ValueError("partition sides must be disjoint and cover 0..n-1")
+    return pos, neg
 
 
 def partition_state(z: PopulationState) -> Partition:
@@ -340,7 +354,9 @@ def validate_network(net: TwoLayerNetwork) -> NetworkValidation:
 # weights; absent edges are zero.  Single-layer files set A = W.
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path`` through a temporary file in the same
+    directory, so readers see either the old file or the complete new one."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
@@ -370,39 +386,58 @@ def save_network(net: TwoLayerNetwork, path: str) -> None:
     else:
         lines += _edge_lines("A", net.A.weights)
         lines += _edge_lines("W", net.W.weights)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_network(path: str) -> TwoLayerNetwork:
-    """Read a network file; rejects malformed input and non-stochastic rows."""
+    """Read a network file; rejects malformed input and non-stochastic rows.
+
+    Every row of a row-stochastic layer carries at least one edge, so a header
+    declaring more nodes than a layer has edge lines is rejected before any
+    n x n matrix is allocated.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        raw = [line.strip() for line in handle]
-    lines = [line for line in raw if line]
+        lines = [line.strip() for line in handle if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty network file")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "n" or head[2] != "layers":
+    if (
+        len(head) != 4
+        or head[0] != "n"
+        or head[2] != "layers"
+        or not (head[1].isdecimal() and head[3].isdecimal())
+    ):
         raise ValueError(f"{path}: malformed header {lines[0]!r}")
     n, layers = int(head[1]), int(head[3])
     if n < 1 or layers not in (1, 2):
         raise ValueError(f"{path}: invalid header values {lines[0]!r}")
-    mats = {"A": np.zeros((n, n)), "W": np.zeros((n, n))}
-    seen: set[tuple[str, int, int]] = set()
+    tags = ("W",) if layers == 1 else ("A", "W")
+    edges: dict[tuple[str, int, int], float] = {}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] not in ("A", "W"):
             raise ValueError(f"{path}: malformed edge line {line!r}")
-        tag, i, j, weight = parts[0], int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])
-        if layers == 1:
-            tag = "W"
+        try:
+            i, j, weight = int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])
+        except ValueError:
+            raise ValueError(f"{path}: malformed edge line {line!r}") from None
+        key = (parts[0] if layers == 2 else "W", i, j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path}: edge endpoint out of range in {line!r}")
         if weight < 0.0 or not math.isfinite(weight):
             raise ValueError(f"{path}: invalid weight in {line!r}")
-        key = (tag, i, j)
-        if key in seen:
+        if key in edges:
             raise ValueError(f"{path}: duplicate edge {line!r}")
-        seen.add(key)
+        edges[key] = weight
+    counts = Counter(tag for tag, _, _ in edges)
+    for tag in tags:
+        if counts[tag] < n:
+            raise ValueError(
+                f"{path}: header declares n={n} but layer {tag} has {counts[tag]} "
+                "edge lines; every row needs at least one edge"
+            )
+    mats = {tag: np.zeros((n, n)) for tag in tags}
+    for (tag, i, j), weight in edges.items():
         mats[tag][i, j] = weight
     w_graph = WeightedGraph(mats["W"])
     if layers == 1:

@@ -5,7 +5,7 @@ of simulation output against both.
 The enumeration is the independent oracle for the analytic Nash tests: a
 candidate is kept when the discriminant of every agent points at (or ties
 with) the agent's action at the exact opinion fixed point, and every kept
-candidate is asserted to pass the payoff-based Nash check.
+candidate must also pass the payoff-based Nash check.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .dynamics import Trace, discriminants
+from .dynamics import Trace, action_bracket, discriminant_from_sums, discriminants
 from .netcore import AgentParams, PopulationState, TwoLayerNetwork
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
@@ -108,16 +108,14 @@ def enumerate_equilibria(
     n_max: int = DEFAULT_N_MAX,
 ) -> list:
     """All consistent candidates over every action profile, in lexicographic
-    profile order; every returned candidate also passes the payoff-based Nash
-    check (asserted)."""
+    profile order.  Every returned candidate also passes the payoff-based Nash
+    check; a consistent candidate that fails it raises ArithmeticError."""
     n = net.n
     if n > n_max:
         raise ValueError(f"enumeration supports at most n_max={n_max} agents, got {n}")
     solve_map = np.linalg.solve(_system_matrix(net, params), np.diag(params.lam))
     a_t = net.A.weights.T
     w_t = net.W.weights.T
-    c1 = params.eps * params.lam * (1.0 - params.beta) / 2.0
-    c2 = 2.0 * (1.0 - params.lam) * params.lam * params.beta
 
     kept: list[EquilibriumCandidate] = []
     profiles = _profiles(n)
@@ -125,8 +123,9 @@ def enumerate_equilibria(
     for start in range(0, profiles.shape[0], block):
         xs = profiles[start : start + block].astype(float)
         ys = xs @ solve_map.T
-        bracket = 2.0 * xs + params.alpha * (1.0 + xs)
-        deltas = c1 * (bracket @ a_t) + c2 * (ys @ w_t)
+        deltas = discriminant_from_sums(
+            action_bracket(xs, params.alpha) @ a_t, ys @ w_t, params
+        )
         # Conservative pre-filter: only discard clear violations, so profiles
         # in the round-off band get the exact per-profile decision below.
         guard = 1e-12
@@ -141,10 +140,11 @@ def enumerate_equilibria(
             report = analysis.is_nash(
                 PopulationState(actions=cand.x, opinions=cand.y_star), net, params
             )
-            assert report.holds, (
-                f"consistent candidate {x.tolist()} fails the Nash check "
-                f"(worst slack {report.worst():.3e})"
-            )
+            if not report.holds:
+                raise ArithmeticError(
+                    f"consistent candidate {x.tolist()} fails the Nash check "
+                    f"(worst slack {report.worst():.3e})"
+                )
             kept.append(cand)
     return kept
 

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from coevnet import load_network
 from coevnet.cli import main
 from coevnet.dynamics import read_trace_csv, read_trace_jsonl
@@ -302,3 +304,54 @@ def test_master_seed_determinism(tmp_path):
         os.path.join(out_c, "trace.jsonl"), "rb"
     ) as fc:
         assert fa.read() != fc.read()
+
+
+# --- rejected configuration values ------------------------------------------------
+
+
+def _with(overrides: dict) -> str:
+    """SMALL_RUN_INI with ``{(section, key): value}`` replaced or added."""
+    import configparser
+    import io
+
+    cfg = configparser.ConfigParser()
+    cfg.read_string(SMALL_RUN_INI)
+    for (section, key), value in overrides.items():
+        cfg[section][key] = value
+    text = io.StringIO()
+    cfg.write(text)
+    return text.getvalue()
+
+
+BIPARTITE = {("network", "kind"): "complete_bipartite"}
+
+
+@pytest.mark.parametrize(
+    "overrides,extra,message",
+    [
+        ({("params", "epsilon"): "1.7"}, [], "eps entries must be -1 or +1"),
+        ({("params", "lambda"): "nan"}, [], "lam entries must lie strictly in"),
+        ({("params", "beta"): "nan"}, [], "beta entries must lie strictly in"),
+        ({("network", "n"): "6.5"}, [], "[network] n must be an integer"),
+        ({("network", "seed"): "1.5"}, [], "[network] seed must be an integer"),
+        ({("network", "zero_diagonal"): "maybe"}, [], "zero_diagonal must be true or false"),
+        ({("stop", "max_steps"): "4e3"}, [], "[stop] max_steps must be an integer"),
+        ({("stop", "window"): "ten"}, [], "[stop] window must be an integer"),
+        ({("stop", "opinion_tol"): "nan"}, [], "opinion_tol must be positive"),
+        ({("initial", "seed"): "x"}, [], "[initial] seed must be an integer"),
+        ({("schedule", "seed"): "2.0"}, [], "[schedule] seed must be an integer"),
+        ({("schedule", "seed"): "-3"}, [], "non-negative seed"),
+        ({**BIPARTITE, ("network", "split"): "3 x"}, [], "split must name two positive"),
+        ({**BIPARTITE, ("network", "split"): "2 4"}, [], "equally sized camps"),
+        ({**BIPARTITE}, [], "complete_bipartite needs a partition"),
+        ({("network", "kind"): "condition_rescaled", ("network", "split"): "3 3"}, [],
+         "condition_rescaled needs a theorem id"),
+        ({}, ["--seed", "-1"], "--seed must be a non-negative integer"),
+    ],
+)
+def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):
+    cfg = _write(tmp_path, "bad.ini", _with(overrides))
+    assert main(["simulate", "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

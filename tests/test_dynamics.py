@@ -74,6 +74,34 @@ def test_discriminant_simplifies_when_layers_coincide():
         assert np.max(np.abs(discriminants(z, net, p) - simplified)) <= 1e-15
 
 
+def test_selected_discriminants_match_single_agent_and_full_form():
+    rng = np.random.default_rng(17)
+    for k in range(50):
+        n = int(rng.integers(2, 9))
+        net = rand_net(n, seed=2000 + k)
+        lam, beta = rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n)
+        p = AgentParams(lam=lam, beta=beta, eps=rng.choice([-1, 1], n), alpha=0.5)
+        z = rand_state(n, rng)
+        agents = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
+        selected = discriminants(z, net, p, agents)
+        # the selection is row by row, bitwise equal to the single-agent form
+        assert selected.tolist() == [discriminant(i, z, net, p) for i in agents]
+        assert selected == pytest.approx(discriminants(z, net, p)[agents], abs=1e-14)
+    assert discriminants(z, net, p, []).shape == (0,)
+
+
+def test_trace_deltas_are_selected_discriminants():
+    net = rand_net(6, seed=41)
+    p = uniform_params(6, 0.5, 0.8, -1)
+    z0 = rand_state(6, np.random.default_rng(3))
+    trace = simulate(z0, net, p, ActivationSchedule.uniform_random(6, seed=4),
+                     StopCriterion(max_steps=200))
+    for t, deltas in enumerate(trace.deltas):
+        agents = sorted(deltas)
+        expected = discriminants(trace.states[t], net, p, agents).tolist()
+        assert [deltas[i] for i in agents] == expected
+
+
 def test_discriminant_index_out_of_range(two_node_net):
     p = uniform_params(2, 0.5, 0.5, 1)
     z = PopulationState(actions=[1, 1], opinions=[0.0, 0.0])

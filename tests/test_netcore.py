@@ -86,6 +86,9 @@ def test_weights_are_immutable():
         {"lam": [0.5, 0.5], "beta": [0.5, 0.0], "eps": [1, 1]},
         {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 2]},
         {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 1], "alpha": -1.0},
+        {"lam": [0.5, float("nan")], "beta": [0.5, 0.5], "eps": [1, 1]},
+        {"lam": [0.5, 0.5], "beta": [float("nan"), 0.5], "eps": [1, 1]},
+        {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 1.7]},
     ],
 )
 def test_agent_params_rejects_out_of_range(kwargs):
@@ -294,6 +297,13 @@ def test_network_roundtrip_single_layer(tmp_path):
         ("n 2 layers 1\nW 1 2 -0.5\n", "invalid weight"),
         ("n 2 layers 1\nW 1 2 1\nW 1 2 0.5\n", "duplicate"),
         ("n 2 layers 1\nW 1 2 0.9\nW 2 1 1\n", "rows must sum to 1"),
+        ("n two layers 1\nW 1 2 1\nW 2 1 1\n", "malformed header"),
+        ("n 2 layers 1.0\nW 1 2 1\nW 2 1 1\n", "malformed header"),
+        ("n 2 layers 1\nW 1 x 1\nW 2 1 1\n", "malformed edge line"),
+        ("n 2 layers 2\nW 1 2 1\nW 2 1 1\n", "layer A has 0 edge lines"),
+        # a header this large must be refused before any n x n allocation
+        ("n 1000000000 layers 1\nW 1 2 1\nW 2 1 1\n", "n=1000000000"),
+        ("n 1000000000 layers 2\nA 1 2 1\nW 2 1 1\n", "n=1000000000"),
     ],
 )
 def test_loader_rejects_malformed_files(tmp_path, content, message):

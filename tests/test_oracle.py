@@ -114,6 +114,20 @@ def test_enumerate_size_gate():
         enumerate_equilibria(net, p, n_max=3)
 
 
+def test_enumerate_raises_when_a_candidate_fails_the_nash_check(monkeypatch):
+    # the invariant is an explicit exception, so it also holds under python -O
+    from coevnet import analysis
+
+    def failing(z, net, params, tol=analysis.NASH_TOL):
+        slack = np.full(z.n, -0.25)
+        return analysis.NashReport(holds=False, slack=slack, tol=tol)
+
+    monkeypatch.setattr(analysis, "is_nash", failing)
+    net = rand_net(3, seed=5)
+    with pytest.raises(ArithmeticError, match=r"\[.*\] fails the Nash check \(worst slack -2\.500e-01\)"):
+        enumerate_equilibria(net, uniform_params(3, 0.5, 0.5, 1))
+
+
 def test_candidate_consistency_matches_membership():
     rng = np.random.default_rng(13)
     for k in range(30):
