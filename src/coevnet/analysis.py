@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Trace
 from .netcore import (
     AgentParams,
     PopulationState,
@@ -195,6 +196,24 @@ class PotentialValue:
         return self.value
 
 
+def _pair_weight(xa, xb, alpha: float):
+    """Weight of an action pair in the potential's game term; symmetric in
+    the two actions and elementwise over arrays."""
+    return (1.0 - xa) * (1.0 - xb) + (1.0 + alpha) * ((1.0 + xa) * (1.0 + xb))
+
+
+def _potential_weights(
+    net: TwoLayerNetwork, params: AgentParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-agent game weight eta, the action layer without self-loops, and the
+    per-agent consistency weight lam / (1 - lam)."""
+    lam, beta = params.lam, params.beta
+    eta = lam * (1.0 - beta) / (4.0 * beta * (1.0 - lam))
+    a_off = net.A.weights.copy()
+    np.fill_diagonal(a_off, 0.0)
+    return eta, a_off, lam / (1.0 - lam)
+
+
 def potential(
     z: PopulationState, net: TwoLayerNetwork, params: AgentParams
 ) -> PotentialValue:
@@ -208,17 +227,12 @@ def potential(
     """
     x = z.actions.astype(float)
     y = z.opinions
-    A = net.A.weights
     W = net.W.weights
-    lam, beta, alpha = params.lam, params.beta, params.alpha
-
-    eta = lam * (1.0 - beta) / (4.0 * beta * (1.0 - lam))
-    pair = np.outer(1.0 - x, 1.0 - x) + (1.0 + alpha) * np.outer(1.0 + x, 1.0 + x)
-    a_off = A.copy()
-    np.fill_diagonal(a_off, 0.0)
+    eta, a_off, kappa = _potential_weights(net, params)
+    pair = _pair_weight(x[:, None], x[None, :], params.alpha)
     game_term = -0.5 * float(eta @ (a_off * pair).sum(axis=1))
     social_term = -0.25 * float((W * (y[:, None] - y[None, :]) ** 2).sum())
-    consistency_term = -0.5 * float(np.sum(lam / (1.0 - lam) * (x - y) ** 2))
+    consistency_term = -0.5 * float(np.sum(kappa * (x - y) ** 2))
     valid = bool(
         params.homogeneous()
         and params.eps[0] == -1
@@ -226,6 +240,47 @@ def potential(
         and net.W.symmetric
     )
     return PotentialValue(value=game_term + social_term + consistency_term, valid=valid)
+
+
+def potential_series(trace: Trace) -> list[float]:
+    """``potential(trace.states[t]).value`` for t = 0..trace.steps, without
+    building the states.
+
+    The start value comes from ``potential``; each logged update of an agent k
+    then adds the change of the terms that involve k, in O(n):
+    the game term over k's pairs (only when k's action flips), the social term
+    over k's opinion differences, and k's consistency term.  Summation order
+    differs from ``potential``, so values agree to round-off (about 1e-14
+    relative over thousands of steps), not bitwise.
+    """
+    net, params = trace.net, trace.params
+    x = trace.z0.actions.astype(float)
+    y = trace.z0.opinions.copy()
+    eta, a_off, kappa = _potential_weights(net, params)
+    one_sided = eta[:, None] * a_off
+    game = one_sided + one_sided.T  # game[k, j]: weight of the pair (k, j), both sides
+    social = net.W.weights + net.W.weights.T
+    np.fill_diagonal(social, 0.0)
+    social_rows = social.sum(axis=1).tolist()
+    kappa = kappa.tolist()
+    alpha = params.alpha
+
+    value = potential(trace.z0, net, params).value
+    series = [value]
+    for _, group in trace.step_events():
+        for _, k, x_new, y_new, _ in group:
+            x_old, y_old = float(x[k]), float(y[k])
+            if x_new != x_old:
+                pair_change = _pair_weight(x_new, x, alpha) - _pair_weight(x_old, x, alpha)
+                value -= 0.5 * float(game[k] @ pair_change)
+                x[k] = x_new
+            # sum_j s_kj [(y_new - y_j)^2 - (y_old - y_j)^2], factored
+            spread = (y_new + y_old) * social_rows[k] - 2.0 * float(social[k] @ y)
+            value -= 0.25 * (y_new - y_old) * spread
+            value -= 0.5 * kappa[k] * ((x_new - y_new) ** 2 - (x_old - y_old) ** 2)
+            y[k] = y_new
+        series.append(value)
+    return series
 
 
 # --- condition reports ---------------------------------------------------------

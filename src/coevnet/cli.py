@@ -246,7 +246,7 @@ def _build_scenario(args) -> Scenario:
 
 
 def _write_json(path: str, payload) -> None:
-    netcore.atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    netcore.atomic_write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _classification_dict(cls: netcore.Classification) -> dict:
@@ -292,12 +292,8 @@ def cmd_simulate(args) -> int:
         dynamics.write_trace_csv(trace, os.path.join(scenario.outdir, "trace.csv"))
         if scenario.params.homogeneous() and scenario.params.eps[0] == -1:
             lines = ["t,value"]
-            for t, state in enumerate(trace.states):
-                value = analysis.potential(state, scenario.net, scenario.params).value
-                lines.append(f"{t},{value:.17g}")
-            netcore.atomic_write_text(
-                os.path.join(scenario.outdir, "potential.csv"), "\n".join(lines) + "\n"
-            )
+            lines += [f"{t},{v:.17g}" for t, v in enumerate(analysis.potential_series(trace))]
+            netcore.atomic_write_lines(os.path.join(scenario.outdir, "potential.csv"), lines)
             result["potential_series"] = "potential.csv"
         _write_json(os.path.join(scenario.outdir, "result.json"), result)
     _emit(result, args.json,
@@ -339,9 +335,7 @@ def cmd_enumerate(args) -> int:
     print(text)
     if scenario.outdir:
         os.makedirs(scenario.outdir, exist_ok=True)
-        netcore.atomic_write_text(
-            os.path.join(scenario.outdir, "equilibria.json"), text + "\n"
-        )
+        netcore.atomic_write_lines(os.path.join(scenario.outdir, "equilibria.json"), [text])
     return 0
 
 
@@ -356,7 +350,7 @@ def cmd_contour(args) -> int:
     grid = analysis.interior_grid(args.resolution)
     lines = analysis.contour_csv_lines(args.function, grid, grid)
     try:
-        netcore.atomic_write_text(args.out, "\n".join(lines) + "\n")
+        netcore.atomic_write_lines(args.out, lines)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
@@ -411,13 +405,12 @@ def cmd_montecarlo(args) -> int:
         else:
             schedule = scenario.schedule
         trace = dynamics.simulate(z0, scenario.net, scenario.params, schedule, scenario.stop)
-        label = netcore.classify_state(trace.final()).label() if trace.converged else "non-converged"
+        end = netcore.classify_state(trace.final()) if trace.converged else None
+        label = end.label() if end else "non-converged"
         counts[label] = counts.get(label, 0) + 1
         if label == "polarized":
             polarized_runs += 1
-            start = netcore.classify_state(z0)
-            end = netcore.classify_state(trace.final())
-            if start.partition == end.partition:
+            if netcore.classify_state(z0).partition == end.partition:
                 preserved += 1
     fractions = {
         label: {

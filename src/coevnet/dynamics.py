@@ -13,14 +13,22 @@ may execute in parallel with no shared mutable state.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .netcore import AgentParams, PopulationState, TwoLayerNetwork, atomic_write_text
+from .netcore import (
+    AgentParams,
+    PopulationState,
+    TwoLayerNetwork,
+    atomic_write_lines,
+    clip_opinion,
+)
 
 DEFAULT_OPINION_TOL = 1e-10
 
@@ -81,16 +89,24 @@ def discriminant(
     return float(discriminants(z, net, params, (i,))[0])
 
 
-def sign_with_inertia(delta: float, x_current: int, tie_tol: float = 0.0) -> int:
-    """Best-response action: the sign of ``delta``, keeping the current action
-    inside the tie band |delta| <= tie_tol."""
-    if tie_tol < 0.0:
+def _check_tie_tol(tie_tol: float) -> None:
+    if not tie_tol >= 0.0:  # also rejects NaN
         raise ValueError("tie_tol must be non-negative")
+
+
+def _sign(delta: float, x_current: int, tie_tol: float) -> int:
     if delta > tie_tol:
         return 1
     if delta < -tie_tol:
         return -1
     return int(x_current)
+
+
+def sign_with_inertia(delta: float, x_current: int, tie_tol: float = 0.0) -> int:
+    """Best-response action: the sign of ``delta``, keeping the current action
+    inside the tie band |delta| <= tie_tol."""
+    _check_tie_tol(tie_tol)
+    return _sign(delta, x_current, tie_tol)
 
 
 def _update(
@@ -266,12 +282,22 @@ class StopCriterion:
 
 @dataclass(frozen=True)
 class Trace:
-    """Full record of one run: states[t] is the state before step t+1, so
-    ``states`` has one more entry than ``active`` and ``deltas``."""
+    """Record of one run: the initial state, the final state and an event log.
 
-    states: tuple[PopulationState, ...]
-    active: tuple[frozenset, ...]
-    deltas: tuple[dict, ...]
+    ``events`` holds one ``(t, i, x_i, y_i, delta_i)`` tuple per agent update:
+    in step t (1-based) agent i had discriminant delta_i and took action x_i
+    and opinion y_i.  Events are in step order, and by agent within a step;
+    ``steps`` counts every step run, including any with an empty active set.
+
+    ``states[t]`` is the state after step t (``states[0]`` is ``z0``), so
+    ``states`` has one more entry than ``active`` and ``deltas``.  These three
+    are replayed from the log on first access and kept from then on.
+    """
+
+    z0: PopulationState
+    events: tuple[tuple[int, int, int, float, float], ...]
+    steps: int
+    final_state: PopulationState
     converged: bool
     reason: str  # "converged" | "max_steps" | "schedule_exhausted"
     schedule_kind: str
@@ -282,19 +308,44 @@ class Trace:
     params: AgentParams
     net: TwoLayerNetwork
 
-    @property
-    def steps(self) -> int:
-        return len(self.active)
-
     def final(self) -> PopulationState:
-        return self.states[-1]
+        return self.final_state
+
+    def step_events(self) -> Iterator[tuple[int, tuple]]:
+        """``(t, events of step t)`` for t = 1..steps, empty steps included."""
+        events, k = self.events, 0
+        for t in range(1, self.steps + 1):
+            start = k
+            while k < len(events) and events[k][0] == t:
+                k += 1
+            yield t, events[start:k]
+
+    @cached_property
+    def states(self) -> tuple[PopulationState, ...]:
+        x, y = self.z0.actions.copy(), self.z0.opinions.copy()
+        states = [self.z0]
+        for _, group in self.step_events():
+            for _, i, x_i, y_i, _ in group:
+                x[i], y[i] = x_i, y_i
+            states.append(PopulationState(actions=x, opinions=y) if group else states[-1])
+        return tuple(states)
+
+    @cached_property
+    def active(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(e[1] for e in group) for _, group in self.step_events())
+
+    @cached_property
+    def deltas(self) -> tuple[dict, ...]:
+        return tuple({e[1]: e[4] for e in group} for _, group in self.step_events())
 
     def last_action_change(self) -> int:
         """Index of the last step whose action profile differs from its
         predecessor's; 0 when actions never change."""
+        x = self.z0.actions.tolist()
         last = 0
-        for t in range(1, len(self.states)):
-            if not np.array_equal(self.states[t].actions, self.states[t - 1].actions):
+        for t, i, x_i, _, _ in self.events:
+            if x_i != x[i]:
+                x[i] = x_i
                 last = t
         return last
 
@@ -316,16 +367,24 @@ def simulate(
     before every agent has been active at least once.  When the run converges
     the terminal opinions are compared against the exact opinion fixed point
     for the terminal actions, recorded as ``fixed_point_gap``.
+
+    The state is updated in place and each update is logged; every agent's
+    arithmetic is that of ``step``, so the states equal repeated ``step``
+    calls bitwise.
     """
     n = z0.n
     if net.n != n or params.n != n or schedule.n != n:
         raise ValueError("state, network, params, and schedule sizes must agree")
+    _check_tie_tol(tie_tol)
 
-    states = [z0]
-    active_log: list[frozenset] = []
-    delta_log: list[dict] = []
+    a, w = net.A.weights, net.W.weights
+    lam, alpha = params.lam.tolist(), params.alpha
+    x = z0.actions.tolist()
+    y = z0.opinions.copy()
+    bracket = action_bracket(z0.actions.astype(float), alpha)
+    events: list[tuple[int, int, int, float, float]] = []
 
-    last_seen = np.full(n, -1, dtype=int)
+    last_seen: dict[int, int] = {}  # agent -> last active step, least recent first
     realized_cover: int | None = None
     last_action_change = -1
     last_big_residual = -1
@@ -333,33 +392,40 @@ def simulate(
     fallback_window = max(1, math.ceil(n * math.log(max(n, 2))))
     reason = "max_steps"
     window_used: int | None = None
+    steps = 0
 
     stream = schedule.iter_sets()
-    z = z0
     for t in range(stop.max_steps):
         try:
             active = next(stream)
         except StopIteration:
             reason = "schedule_exhausted"
             break
-        z_next, deltas = _update(z, sorted(active), net, params, tie_tol)
-        states.append(z_next)
-        active_log.append(active)
-        delta_log.append(deltas)
-
-        if not np.array_equal(z_next.actions, z.actions):
-            last_action_change = t
-        residual = (
-            float(np.max(np.abs(z_next.opinions - z.opinions))) if active else 0.0
-        )
+        steps = t + 1
+        updates = []
+        for i in sorted(active):  # every active agent reads the pre-step state
+            opinion_sum = float(w[i] @ y)
+            delta = float(discriminant_from_sums(a[i] @ bracket, opinion_sum, params, i))
+            s = _sign(delta, x[i], tie_tol)
+            updates.append((i, s, (1.0 - lam[i]) * opinion_sum + lam[i] * s, delta))
+        residual = 0.0
+        for i, s, y_i, delta in updates:
+            y_i = clip_opinion(y_i)
+            if s != x[i]:
+                x[i] = s
+                bracket[i] = action_bracket(float(s), alpha)
+                last_action_change = t
+            residual = max(residual, abs(y_i - float(y[i])))
+            y[i] = y_i
+            events.append((steps, i, s, y_i, delta))
+            last_seen.pop(i, None)
+            last_seen[i] = t
         if residual >= stop.opinion_tol:
             last_big_residual = t
 
-        for i in active:
-            last_seen[i] = t
-        covered = bool(np.all(last_seen >= 0))
+        covered = len(last_seen) == n
         if covered:
-            span = t - int(last_seen.min()) + 1
+            span = t - next(iter(last_seen.values())) + 1
             realized_cover = span if realized_cover is None else max(realized_cover, span)
 
         if stop.window is not None:
@@ -368,7 +434,6 @@ def simulate(
             window = schedule.persistence
         else:
             if not covered:
-                z = z_next
                 continue
             window = max(fallback_window, realized_cover or 0)
         window_used = window
@@ -376,22 +441,22 @@ def simulate(
         quiet_since = max(last_action_change, last_big_residual)
         if t - quiet_since >= window:
             reason = "converged"
-            z = z_next
             break
-        z = z_next
 
+    final = PopulationState(actions=x, opinions=y)
     converged = reason == "converged"
     gap: float | None = None
     if converged:
         from .oracle import opinion_fixed_point  # deferred: oracle imports dynamics
 
-        y_star = opinion_fixed_point(states[-1].actions, net, params)
-        gap = float(np.max(np.abs(states[-1].opinions - y_star)))
+        y_star = opinion_fixed_point(final.actions, net, params)
+        gap = float(np.max(np.abs(final.opinions - y_star)))
 
     return Trace(
-        states=tuple(states),
-        active=tuple(active_log),
-        deltas=tuple(delta_log),
+        z0=z0,
+        events=tuple(events),
+        steps=steps,
+        final_state=final,
         converged=converged,
         reason=reason,
         schedule_kind=schedule.kind,
@@ -407,27 +472,40 @@ def simulate(
 # --- trace export ------------------------------------------------------------
 
 
+def _cell_rows(trace: Trace, x_cell, y_cell) -> Iterator[tuple[int, tuple, list, list]]:
+    """``(t, events of step t, x cells, y cells)`` for t = 0..steps.
+
+    Each agent's cells are formatted once and again only when a step updates
+    that agent; the two cell lists are the same objects at every yield.
+    """
+    x = [x_cell(v) for v in trace.z0.actions.tolist()]
+    y = [y_cell(v) for v in trace.z0.opinions.tolist()]
+    yield 0, (), x, y
+    for t, group in trace.step_events():
+        for _, i, x_i, y_i, _ in group:
+            x[i], y[i] = x_cell(x_i), y_cell(y_i)
+        yield t, group, x, y
+
+
 def write_trace_jsonl(trace: Trace, path: str) -> None:
-    """One record per step (plus a t=0 record); agent ids are 1-based."""
-    lines = []
-    first = {
-        "t": 0,
-        "active": [],
-        "x": trace.states[0].actions.tolist(),
-        "y": trace.states[0].opinions.tolist(),
-        "delta": {},
-    }
-    lines.append(json.dumps(first, sort_keys=True))
-    for t in range(trace.steps):
-        record = {
-            "t": t + 1,
-            "active": sorted(i + 1 for i in trace.active[t]),
-            "x": trace.states[t + 1].actions.tolist(),
-            "y": trace.states[t + 1].opinions.tolist(),
-            "delta": {str(i + 1): d for i, d in sorted(trace.deltas[t].items())},
-        }
-        lines.append(json.dumps(record, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One record per step (plus a t=0 record); agent ids are 1-based.
+
+    Each line is ``json.dumps(record, sort_keys=True)`` of the record, joined
+    by hand: ``repr`` is json's float format, and sort_keys orders the delta
+    keys as strings, so "10" comes before "9".
+    """
+
+    def lines() -> Iterator[str]:
+        for t, group, x, y in _cell_rows(trace, str, repr):
+            active = ", ".join(str(e[1] + 1) for e in group)
+            keyed = sorted((str(e[1] + 1), e[4]) for e in group)
+            delta = ", ".join(f'"{key}": {d!r}' for key, d in keyed)
+            yield (
+                f'{{"active": [{active}], "delta": {{{delta}}}, "t": {t}, '
+                f'"x": [{", ".join(x)}], "y": [{", ".join(y)}]}}'
+            )
+
+    atomic_write_lines(path, lines())
 
 
 def read_trace_jsonl(path: str) -> list[dict]:
@@ -437,16 +515,13 @@ def read_trace_jsonl(path: str) -> list[dict]:
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Compact per-step table: t, x_1..x_n, y_1..y_n."""
-    n = trace.states[0].n
-    rows = []
+    n = trace.z0.n
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
-    rows.append(",".join(header))
-    for t, state in enumerate(trace.states):
-        cells = [str(t)]
-        cells += [str(int(v)) for v in state.actions]
-        cells += [f"{v:.17g}" for v in state.opinions]
-        rows.append(",".join(cells))
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    rows = (
+        f"{t},{','.join(x)},{','.join(y)}"
+        for t, _, x, y in _cell_rows(trace, str, lambda v: f"{v:.17g}")
+    )
+    atomic_write_lines(path, itertools.chain([",".join(header)], rows))
 
 
 def read_trace_csv(path: str) -> list[dict]:

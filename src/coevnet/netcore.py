@@ -163,12 +163,13 @@ class PopulationState:
     opinions: np.ndarray
 
     def __post_init__(self) -> None:
-        x = np.array(self.actions, dtype=int)
+        x = np.array(self.actions)
         y = np.array(self.opinions, dtype=float)
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size < 1:
             raise ValueError("actions and opinions must be 1-d vectors of equal size")
-        if not np.all(np.isin(x, (-1, 1))):
+        if not np.all((x == 1) | (x == -1)):  # before the int cast, so 1.5 is no +1
             raise ValueError("actions must be exactly -1 or +1")
+        x = x.astype(int)
         if np.any(np.abs(y) > 1.0 + _OPINION_RANGE_TOL) or not np.all(np.isfinite(y)):
             raise ValueError("opinions must lie in [-1, +1]")
         # Round-off from row sums within 1e-12 may overshoot by ~1e-13; clip it away.
@@ -179,6 +180,14 @@ class PopulationState:
     @property
     def n(self) -> int:
         return self.actions.size
+
+
+def clip_opinion(value: float) -> float:
+    """One opinion checked and clipped as ``PopulationState`` checks and clips
+    its vector, for loops that update a state in place."""
+    if not abs(value) <= 1.0 + _OPINION_RANGE_TOL:  # also rejects NaN
+        raise ValueError("opinions must lie in [-1, +1]")
+    return min(max(value, -1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -351,17 +360,21 @@ def validate_network(net: TwoLayerNetwork) -> NetworkValidation:
 #
 # UTF-8 text; header `n <count> layers <1|2>`; one line per directed edge
 # `<A|W> <i> <j> <weight>` with 1-based node ids and 17-significant-digit
-# weights; absent edges are zero.  Single-layer files set A = W.
+# weights; absent edges are zero.  Single-layer files hold only W lines and
+# set A = W.
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write UTF-8 ``text`` to ``path`` through a temporary file in the same
-    directory, so readers see either the old file or the complete new one."""
+def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` (UTF-8) through a
+    temporary file in the same directory, so readers see either the old file
+    or the complete new one.  ``lines`` may be a generator: the file is
+    written as it is produced, never held in memory whole."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(f"{line}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -386,7 +399,7 @@ def save_network(net: TwoLayerNetwork, path: str) -> None:
     else:
         lines += _edge_lines("A", net.A.weights)
         lines += _edge_lines("W", net.W.weights)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)
 
 
 def load_network(path: str) -> TwoLayerNetwork:
@@ -421,7 +434,9 @@ def load_network(path: str) -> TwoLayerNetwork:
             i, j, weight = int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])
         except ValueError:
             raise ValueError(f"{path}: malformed edge line {line!r}") from None
-        key = (parts[0] if layers == 2 else "W", i, j)
+        if parts[0] not in tags:
+            raise ValueError(f"{path}: single-layer file has an A edge line {line!r}; use W")
+        key = (parts[0], i, j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"{path}: edge endpoint out of range in {line!r}")
         if weight < 0.0 or not math.isfinite(weight):

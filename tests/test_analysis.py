@@ -19,13 +19,16 @@ from coevnet import (
     is_nash,
     payoff,
     potential,
+    simulate,
     step,
 )
+from coevnet.dynamics import ActivationSchedule, StopCriterion
 from coevnet.analysis import (
     CONTOUR_FUNCTIONS,
     contour_csv_lines,
     interior_grid,
     partition_degrees,
+    potential_series,
 )
 from coevnet.genesis import complete_bipartite, initial_state, random_symmetric_stochastic
 from coevnet.oracle import opinion_fixed_point
@@ -246,6 +249,29 @@ def test_potential_strictly_increases_on_strict_improvements():
             )
             if gain > 1e-11:
                 assert potential(z1, net, p).value > phi.value
+
+
+def test_potential_series_matches_potential_of_every_state():
+    # the O(n) increments against the full O(n^2) evaluation, over
+    # multi-agent and empty steps, mixed eps, alpha > 0 and two distinct layers
+    rng = np.random.default_rng(59)
+    for k in range(30):
+        n = int(rng.integers(2, 12))
+        net = rand_net(n, seed=60_000 + k, same_layers=bool(k % 2))
+        p = AgentParams(lam=rng.uniform(0.1, 0.9, n), beta=rng.uniform(0.1, 0.9, n),
+                        eps=rng.choice([-1, 1], n), alpha=float(rng.choice([0.0, 0.8])))
+        if k % 3 == 0:
+            schedule = ActivationSchedule.uniform_random(n, 61_000 + k)
+        else:
+            sizes = rng.integers(0, n + 1, 300)
+            schedule = ActivationSchedule.explicit(
+                n, [rng.choice(n, size=int(s), replace=False).tolist() for s in sizes])
+        trace = simulate(rand_state(n, rng), net, p, schedule, StopCriterion(max_steps=300))
+        series = potential_series(trace)
+        assert len(series) == len(trace.states)
+        for value, state in zip(series, trace.states):
+            phi = potential(state, net, p).value
+            assert abs(value - phi) <= 1e-12 * (1.0 + abs(phi))
 
 
 # --- checkers -----------------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from coevnet import load_network
-from coevnet.cli import main
+from coevnet import load_network, potential, simulate
+from coevnet.cli import _build_scenario, main
 from coevnet.dynamics import read_trace_csv, read_trace_jsonl
 
 ANTI_PAIR_INI = """
@@ -79,6 +80,22 @@ def test_simulate_reproduce_example5_writes_artifacts(tmp_path, capsys):
     potential_lines = open(os.path.join(out, "potential.csv")).read().splitlines()
     assert potential_lines[0] == "t,value"
     assert len(potential_lines) == payload["steps"] + 2
+
+
+@pytest.mark.parametrize("preset", ["example4", "example5"])
+def test_potential_csv_matches_potential_of_each_state(tmp_path, capsys, preset):
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--reproduce", preset, "--out", out]) == 0
+    rows = open(os.path.join(out, "potential.csv")).read().splitlines()[1:]
+    args = argparse.Namespace(config=None, reproduce=preset, seed=None, out=None)
+    sc = _build_scenario(args)
+    trace = simulate(sc.z0, sc.net, sc.params, sc.schedule, sc.stop)
+    assert len(rows) == len(trace.states)
+    for t, (row, state) in enumerate(zip(rows, trace.states)):
+        step, value = row.split(",")
+        phi = potential(state, sc.net, sc.params).value
+        assert int(step) == t
+        assert abs(float(value) - phi) <= 1e-12 * (1.0 + abs(phi))
 
 
 def test_simulate_with_config_file(tmp_path, capsys):
@@ -307,6 +324,14 @@ def test_master_seed_determinism(tmp_path):
 
 
 # --- rejected configuration values ------------------------------------------------
+
+
+def test_single_layer_file_with_a_lines_exits_1(tmp_path, capsys):
+    net = _write(tmp_path, "net.txt", "n 2 layers 1\nA 1 2 1\nW 2 1 1\n")
+    cfg = _write(tmp_path, "run.ini", f"[network]\nsource = file\npath = {net}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load network") and "A edge line" in err
 
 
 def _with(overrides: dict) -> str:

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coevnet import (
     ActivationSchedule,
@@ -8,6 +10,7 @@ from coevnet import (
     PopulationState,
     StopCriterion,
     TwoLayerNetwork,
+    WeightedGraph,
     classify_state,
     discriminant,
     discriminants,
@@ -283,6 +286,75 @@ def test_states_are_immutable():
         z.opinions[0] = 0.5
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2 ** 16),
+    kind=st.sampled_from(["uniform_random", "round_robin", "explicit"]),
+    tie_tol=st.sampled_from([0.0, 1e-3, 0.05]),
+    alpha=st.sampled_from([0.0, 0.7]),
+)
+def test_simulate_equals_repeated_steps(n, seed, kind, tie_tol, alpha):
+    # the in-place kernel against the step() reference on the same schedule
+    # stream: bitwise-equal states at every t, equal deltas, equal active sets
+    rng = np.random.default_rng(seed)
+    net = rand_net(n, seed=seed)
+    p = AgentParams(lam=rng.uniform(0.1, 0.9, n), beta=rng.uniform(0.1, 0.9, n),
+                    eps=rng.choice([-1, 1], n), alpha=alpha)
+    z0 = rand_state(n, rng)
+    if kind == "uniform_random":
+        schedule = ActivationSchedule.uniform_random(n, seed)
+    elif kind == "round_robin":
+        schedule = ActivationSchedule.round_robin(n)
+    else:  # multi-agent and empty sets
+        sizes = rng.integers(0, n + 1, 40)
+        schedule = ActivationSchedule.explicit(
+            n, [rng.choice(n, size=int(k), replace=False).tolist() for k in sizes]
+        )
+    trace = simulate(z0, net, p, schedule, StopCriterion(max_steps=80), tie_tol)
+
+    assert len(trace.states) == trace.steps + 1 == len(trace.active) + 1
+    z = z0
+    for t, active in zip(range(trace.steps), schedule.iter_sets()):
+        agents = sorted(active)
+        assert trace.active[t] == active
+        assert list(trace.deltas[t]) == agents
+        assert list(trace.deltas[t].values()) == discriminants(z, net, p, agents).tolist()
+        z = step(z, active, net, p, tie_tol)
+        assert trace.states[t + 1].actions.tolist() == z.actions.tolist()
+        assert trace.states[t + 1].opinions.tobytes() == z.opinions.tobytes()
+    assert trace.final().actions.tolist() == z.actions.tolist()
+    assert trace.final().opinions.tobytes() == z.opinions.tobytes()
+    changes = [t for t in range(1, len(trace.states))
+               if trace.states[t].actions.tolist() != trace.states[t - 1].actions.tolist()]
+    assert trace.last_action_change() == (changes[-1] if changes else 0)
+    last_seen, cover = np.full(n, -1), None
+    for t, active in enumerate(trace.active):
+        last_seen[list(active)] = t
+        if np.all(last_seen >= 0):
+            cover = max(cover or 0, t - int(last_seen.min()) + 1)
+    assert trace.realized_cover == cover
+
+
+def test_trace_replays_states_once():
+    net = rand_net(5, seed=12)
+    p = uniform_params(5, 0.5, 0.6, -1)
+    trace = simulate(initial_state("random", 5, 1), net, p,
+                     ActivationSchedule.uniform_random(5, seed=2), StopCriterion(max_steps=50))
+    assert trace.states is trace.states
+    assert trace.active is trace.active and trace.deltas is trace.deltas
+
+
+def test_simulate_rejects_negative_tie_band_before_running():
+    net = rand_net(3, seed=5)
+    p = uniform_params(3, 0.5, 0.5, 1)
+    z0 = initial_state("random", 3, 1)
+    for tie_tol in (-1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tie_tol"):
+            simulate(z0, net, p, ActivationSchedule.round_robin(3), StopCriterion(max_steps=5),
+                     tie_tol)
+
+
 def test_simulate_uniform_random_waits_for_cover():
     # convergence may not be declared before every agent was active once
     net = rand_net(5, seed=70)
@@ -365,3 +437,72 @@ def test_trace_export_roundtrip(tmp_path):
         for i in range(3):
             assert int(row[f"x_{i + 1}"]) == trace.states[t].actions[i]
             assert float(row[f"y_{i + 1}"]) == trace.states[t].opinions[i]
+
+
+def _reference_jsonl(trace):
+    records = [{"t": 0, "active": [], "x": trace.states[0].actions.tolist(),
+                "y": trace.states[0].opinions.tolist(), "delta": {}}]
+    for t in range(trace.steps):
+        records.append({
+            "t": t + 1,
+            "active": sorted(i + 1 for i in trace.active[t]),
+            "x": trace.states[t + 1].actions.tolist(),
+            "y": trace.states[t + 1].opinions.tolist(),
+            "delta": {str(i + 1): d for i, d in sorted(trace.deltas[t].items())},
+        })
+    return [json.dumps(record, sort_keys=True) for record in records]
+
+
+def _reference_csv(trace):
+    n = trace.states[0].n
+    rows = [",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])]
+    for t, state in enumerate(trace.states):
+        rows.append(",".join([str(t)] + [str(int(v)) for v in state.actions]
+                             + [f"{v:.17g}" for v in state.opinions]))
+    return rows
+
+
+def _edge_case_trace():
+    # agent 0 listens to agents 1 and 2 only, who hold opposite actions and
+    # opinions +1.0 / -1.0, so its first discriminant is exactly zero; agents
+    # 3 and 4 start at -0.0 and 1e-300; agents 9 and 10 (ids) move together
+    n = 12
+    w = np.zeros((n, n))
+    w[0, 1] = w[0, 2] = 0.5
+    for i in range(1, n):
+        w[i, (i + 1) % n] = w[i, i - 1] = 0.5
+    net = TwoLayerNetwork.single_layer(WeightedGraph(w))
+    p = AgentParams(lam=np.full(n, 0.5), beta=np.full(n, 0.7),
+                    eps=np.array([1, -1] * 6), alpha=0.0)
+    y0 = np.array([0.25, 1.0, -1.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 0.5, -0.5, 0.0, 1.0])
+    z0 = PopulationState(actions=[1, 1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1], opinions=y0)
+    sets = [{0}, {8, 9}, set(), {1, 6, 7}, {3}, {9, 10, 11, 2}, {4, 5}] * 3
+    trace = simulate(z0, net, p, ActivationSchedule.explicit(n, sets),
+                     StopCriterion(max_steps=100))
+    assert trace.deltas[0] == {0: 0.0}
+    return trace
+
+
+def _random_trace():
+    net = rand_net(12, seed=81)
+    p = AgentParams(lam=np.full(12, 0.6), beta=np.full(12, 0.4),
+                    eps=np.array([1, -1] * 6), alpha=0.0)
+    return simulate(initial_state("random", 12, 82), net, p,
+                    ActivationSchedule.uniform_random(12, seed=83), StopCriterion(max_steps=400))
+
+
+@pytest.mark.parametrize("make_trace", [_edge_case_trace, _random_trace])
+def test_writers_match_json_dumps_reference(tmp_path, make_trace):
+    trace = make_trace()
+    jsonl, csvp = tmp_path / "trace.jsonl", tmp_path / "trace.csv"
+    write_trace_jsonl(trace, str(jsonl))
+    write_trace_csv(trace, str(csvp))
+    lines = jsonl.read_text().split("\n")
+    assert lines.pop() == ""
+    reference = _reference_jsonl(trace)
+    assert len(lines) == len(reference)
+    for got, want in zip(lines, reference):
+        assert got == want
+    rows = csvp.read_text().split("\n")
+    assert rows.pop() == ""
+    assert rows == _reference_csv(trace)

@@ -105,6 +105,10 @@ def test_homogeneous_predicate():
 def test_population_state_validation():
     with pytest.raises(ValueError, match="exactly -1 or \\+1"):
         PopulationState(actions=[1, 0], opinions=[0.0, 0.0])
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):  # no truncation to [1, -1]
+        PopulationState(actions=[1.5, -1.9], opinions=[0.0, 0.0])
+    z = PopulationState(actions=[1.0, -1.0], opinions=[0.0, 0.0])
+    assert z.actions.tolist() == [1, -1] and z.actions.dtype.kind == "i"
     with pytest.raises(ValueError):
         PopulationState(actions=[1, 1], opinions=[0.0, 1.5])
     # round-off overshoot within tolerance is clipped back into range
@@ -300,6 +304,7 @@ def test_network_roundtrip_single_layer(tmp_path):
         ("n two layers 1\nW 1 2 1\nW 2 1 1\n", "malformed header"),
         ("n 2 layers 1.0\nW 1 2 1\nW 2 1 1\n", "malformed header"),
         ("n 2 layers 1\nW 1 x 1\nW 2 1 1\n", "malformed edge line"),
+        ("n 2 layers 1\nA 1 2 1\nW 2 1 1\n", "single-layer file has an A edge line"),
         ("n 2 layers 2\nW 1 2 1\nW 2 1 1\n", "layer A has 0 edge lines"),
         # a header this large must be refused before any n x n allocation
         ("n 1000000000 layers 1\nW 1 2 1\nW 2 1 1\n", "n=1000000000"),
