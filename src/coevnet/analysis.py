@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trace
+from .dynamics import Trace, opinion_update
 from .netcore import (
     AgentParams,
     PopulationState,
@@ -29,9 +29,6 @@ from .netcore import (
 )
 
 NASH_TOL = 1e-10
-
-CONTOUR_FUNCTIONS = ("thm3_vp", "thm3_vn", "thm5_rhs", "thm7_gap", "coo_pol_rhs")
-
 
 # --- payoffs and best responses ----------------------------------------------
 
@@ -74,69 +71,55 @@ def payoff(
     return coordination + social + consistency
 
 
-def _branch_values(
-    z: PopulationState, net: TwoLayerNetwork, params: AgentParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best payoff and optimal opinion of every agent for each candidate
-    action, holding everyone else fixed at ``z``.
-
-    Returns (f_plus, f_minus, y_plus, y_minus).  The optimal opinion solves
-    the first-order condition of the concave opinion terms, clipped to
-    [-1, 1]; self-loop weights are excluded from the deviator's own sums.
-    """
-    x = z.actions.astype(float)
-    y = z.opinions
-    A = net.A.weights
-    W = net.W.weights
-    lam, beta, eps, alpha = params.lam, params.beta, params.eps, params.alpha
-
-    diag_a = np.diag(A)
-    diag_w = np.diag(W)
-    sa = A.sum(axis=1) - diag_a
-    ma = A @ x - diag_a * x
-    sw = W.sum(axis=1) - diag_w
-    sig = W @ y - diag_w * y
-    qw = W @ (y * y) - diag_w * (y * y)
-
-    c1 = eps * lam * (1.0 - beta) / 4.0
-    coord_plus = c1 * (2.0 * (1.0 + alpha) * (sa + ma) + diag_a * 4.0 * (1.0 + alpha))
-    coord_minus = c1 * (2.0 * (sa - ma) + diag_a * 4.0)
-
-    denom = (1.0 - lam) * sw + lam
-
-    def branch(action: float) -> tuple[np.ndarray, np.ndarray]:
-        y_opt = np.clip(((1.0 - lam) * sig + lam * action) / denom, -1.0, 1.0)
-        social = -0.5 * (1.0 - lam) * beta * (y_opt * y_opt * sw - 2.0 * y_opt * sig + qw)
-        consistency = -0.5 * lam * beta * (y_opt - action) ** 2
-        return social + consistency, y_opt
-
-    pen_plus, y_plus = branch(1.0)
-    pen_minus, y_minus = branch(-1.0)
-    return coord_plus + pen_plus, coord_minus + pen_minus, y_plus, y_minus
-
-
-def _actual_payoffs(
-    z: PopulationState, net: TwoLayerNetwork, params: AgentParams
-) -> np.ndarray:
-    """Payoff of every agent at the profile it is actually playing."""
-    x = z.actions.astype(float)
-    y = z.opinions
-    A = net.A.weights
-    W = net.W.weights
-    lam, beta, eps, alpha = params.lam, params.beta, params.eps, params.alpha
-    sa = A.sum(axis=1)
-    ma = A @ x
-    coordination = (
-        eps
-        * lam
-        * (1.0 - beta)
-        / 4.0
-        * ((1.0 - x) * (sa - ma) + (1.0 + alpha) * (1.0 + x) * (sa + ma))
+def _neighbourhood(z: PopulationState, net: TwoLayerNetwork) -> tuple:
+    """Each agent's sums over its neighbours j != i at ``z``: of a_ij (1 - x_j)
+    and a_ij (1 + x_j) on the action layer; of w_ij, w_ij y_j and w_ij y_j^2
+    on the opinion layer; plus the action-layer self-loop weights."""
+    x, y = z.actions.astype(float), z.opinions
+    A, W = net.A.weights, net.W.weights
+    diag_a, diag_w = np.diag(A), np.diag(W)
+    sa, ma = A.sum(axis=1) - diag_a, A @ x - diag_a * x
+    return (
+        sa - ma,
+        sa + ma,
+        W.sum(axis=1) - diag_w,
+        W @ y - diag_w * y,
+        W @ (y * y) - diag_w * (y * y),
+        diag_a,
     )
-    quad = (W * (y[:, None] - y[None, :]) ** 2).sum(axis=1)
-    social = -0.5 * (1.0 - lam) * beta * quad
-    consistency = -0.5 * lam * beta * (y - x) ** 2
+
+
+def _pair_weight(xa, xb, alpha: float):
+    """Weight of an action pair in the coordination payoff and in the
+    potential's game term; symmetric in the two actions and elementwise over
+    arrays."""
+    return (1.0 - xa) * (1.0 - xb) + (1.0 + alpha) * ((1.0 + xa) * (1.0 + xb))
+
+
+def _payoffs(x_hat, y_hat, sums: tuple, params: AgentParams) -> np.ndarray:
+    """Payoff of every agent i playing (x_hat[i], y_hat[i]) against the others'
+    profile as summed by ``_neighbourhood``: the three terms of ``payoff``, where
+    an action self-loop pairs x_hat[i] with itself and an opinion self-loop
+    costs nothing."""
+    a_minus, a_plus, sw, sig, qw, diag_a = sums
+    lam, beta, alpha = params.lam, params.beta, params.alpha
+    # sum over neighbours j of a_ij * pair(x_hat_i, x_j), then the self-loop pair
+    pairs = (1.0 - x_hat) * a_minus + (1.0 + alpha) * (1.0 + x_hat) * a_plus
+    pairs = pairs + diag_a * _pair_weight(x_hat, x_hat, alpha)
+    coordination = params.eps * lam * (1.0 - beta) / 4.0 * pairs
+    social = -0.5 * (1.0 - lam) * beta * (y_hat * y_hat * sw - 2.0 * y_hat * sig + qw)
+    consistency = -0.5 * lam * beta * (y_hat - x_hat) ** 2
     return coordination + social + consistency
+
+
+def _branch(action: float, sums: tuple, params: AgentParams) -> tuple[np.ndarray, np.ndarray]:
+    """Best payoff and optimal opinion of every agent when it plays ``action``:
+    the opinion solves the first-order condition of the concave opinion
+    terms, clipped to [-1, 1]."""
+    sw, sig = sums[2], sums[3]
+    lam = params.lam
+    y_opt = np.clip(opinion_update(sig, action, lam) / ((1.0 - lam) * sw + lam), -1.0, 1.0)
+    return _payoffs(action, y_opt, sums, params), y_opt
 
 
 def best_response_set(
@@ -151,7 +134,9 @@ def best_response_set(
     Returns one pair, or both branch optima when their payoffs tie within
     ``tie_tol`` (ordered action -1 first on ties).
     """
-    f_plus, f_minus, y_plus, y_minus = _branch_values(z, net, params)
+    sums = _neighbourhood(z, net)
+    f_plus, y_plus = _branch(1.0, sums, params)
+    f_minus, y_minus = _branch(-1.0, sums, params)
     fp, fm = float(f_plus[i]), float(f_minus[i])
     if abs(fp - fm) <= tie_tol:
         return ((-1, float(y_minus[i])), (1, float(y_plus[i])))
@@ -177,9 +162,9 @@ def is_nash(
     tol: float = NASH_TOL,
 ) -> NashReport:
     """Whether every agent already plays a best response, within payoff ``tol``."""
-    f_plus, f_minus, _, _ = _branch_values(z, net, params)
-    best = np.maximum(f_plus, f_minus)
-    slack = _actual_payoffs(z, net, params) - best
+    sums = _neighbourhood(z, net)
+    best = np.maximum(_branch(1.0, sums, params)[0], _branch(-1.0, sums, params)[0])
+    slack = _payoffs(z.actions.astype(float), z.opinions, sums, params) - best
     slack.setflags(write=False)
     return NashReport(holds=bool(np.all(slack >= -tol)), slack=slack, tol=tol)
 
@@ -194,12 +179,6 @@ class PotentialValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def _pair_weight(xa, xb, alpha: float):
-    """Weight of an action pair in the potential's game term; symmetric in
-    the two actions and elementwise over arrays."""
-    return (1.0 - xa) * (1.0 - xb) + (1.0 + alpha) * ((1.0 + xa) * (1.0 + xb))
 
 
 def _potential_weights(
@@ -449,12 +428,18 @@ def check_thm2(
     return TheoremReport("thm2", True, tuple(rows), tuple(notes))
 
 
+def _action_floor(lam: float) -> float:
+    """(1 - 2 lam) / (1 - lam), the within-camp weight floor that the thm3,
+    thm7 and eq22 conditions share."""
+    return (1.0 - 2.0 * lam) / (1.0 - lam)
+
+
 def _thm3_branches(beta: float, lam: float) -> tuple:
     """Both candidate bounds of each camp: (vp branches, vn branches); the
     positive-camp threshold is the larger vp branch, the negative-camp one
     the smaller vn branch."""
     shared = (1.0 - beta) / (2.0 * (1.0 - lam * beta))
-    return ((1.0 - 2.0 * lam) / (1.0 - lam), 1.0 - shared), (lam / (1.0 - lam), shared)
+    return (_action_floor(lam), 1.0 - shared), (lam / (1.0 - lam), shared)
 
 
 def thm3_vp_threshold(beta: float, lam: float) -> float:
@@ -510,15 +495,8 @@ def check_thm5(net: TwoLayerNetwork, params: AgentParams) -> TheoremReport:
     lam = float(params.lam[0])
     beta = float(params.beta[0])
     rhs = thm5_rhs(beta, lam, params.alpha)
-    sums = net.A.weights.sum(axis=1)
-    rows = tuple(
-        ConditionRow(
-            name="row_sum_below", lhs=float(s), rhs=rhs,
-            ok=float(s) < rhs, slack=rhs - float(s), agent=i,
-        )
-        for i, s in enumerate(sums)
-    )
-    return TheoremReport("thm5", True, rows)
+    sums = dict(enumerate(net.A.weights.sum(axis=1).tolist()))
+    return TheoremReport("thm5", True, tuple(_rows(sums, (("row_sum_below", rhs, "<"),))))
 
 
 @dataclass(frozen=True)
@@ -599,7 +577,7 @@ def check_thm6(
 
 def thm7_bounds(beta: float, lam: float) -> tuple:
     """(lower, upper) admissible within-camp weight for partition invariance."""
-    lower = (1.0 - 2.0 * lam) / (1.0 - lam)
+    lower = _action_floor(lam)
     denom = 2.0 * beta - beta * lam - 1.0
     upper = math.nan if denom == 0.0 else 0.5 * (1.0 + beta * (1.0 - lam) / denom)
     return lower, upper
@@ -636,10 +614,7 @@ def check_thm7(
 
 
 def coo_pol_rhs(beta: float, lam: float) -> float:
-    return max(
-        (1.0 - 2.0 * lam) / (1.0 - lam),
-        0.5 * (1.0 + beta * (1.0 - lam) / (1.0 - beta * lam)),
-    )
+    return max(_action_floor(lam), 0.5 * (1.0 + beta * (1.0 - lam) / (1.0 - beta * lam)))
 
 
 def check_coordination_polarized(
@@ -671,23 +646,29 @@ CHECKERS = {
 # --- contour functions ---------------------------------------------------------
 
 
+def _thm7_gap(beta: float, lam: float) -> float:
+    lower, upper = thm7_bounds(beta, lam)
+    return upper - lower
+
+
+_CONTOURS = {  # function id -> f(beta, lam); thm5_rhs at alpha = 0
+    "thm3_vp": thm3_vp_threshold,
+    "thm3_vn": thm3_vn_threshold,
+    "thm5_rhs": thm5_rhs,
+    "thm7_gap": _thm7_gap,
+    "coo_pol_rhs": coo_pol_rhs,
+}
+CONTOUR_FUNCTIONS = tuple(_CONTOURS)
+
+
 def contour_value(function_id: str, beta: float, lam: float) -> float:
     """Scalar contour function at one (beta, lam) point, both in open (0, 1)."""
     if not (0.0 < beta < 1.0 and 0.0 < lam < 1.0):
         raise ValueError("beta and lam must lie strictly inside (0, 1)")
-    if function_id == "thm3_vp":
-        return thm3_vp_threshold(beta, lam)
-    if function_id == "thm3_vn":
-        return thm3_vn_threshold(beta, lam)
-    if function_id == "thm5_rhs":
-        return thm5_rhs(beta, lam, alpha=0.0)
-    if function_id == "thm7_gap":
-        lower, upper = thm7_bounds(beta, lam)
-        return upper - lower
-    if function_id == "coo_pol_rhs":
-        return coo_pol_rhs(beta, lam)
-    raise ValueError(f"unknown contour function {function_id!r}; "
-                     f"expected one of {CONTOUR_FUNCTIONS}")
+    if function_id not in _CONTOURS:
+        raise ValueError(f"unknown contour function {function_id!r}; "
+                         f"expected one of {CONTOUR_FUNCTIONS}")
+    return _CONTOURS[function_id](beta, lam)
 
 
 def contour_grid(function_id: str, betas: np.ndarray, lams: np.ndarray) -> np.ndarray:

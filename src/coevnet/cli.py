@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -84,7 +85,11 @@ def _read_config(path: str | None, preset: str | None) -> configparser.ConfigPar
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        cfg.read(path)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                cfg.read_file(handle)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if preset is None and path is None:
         raise ConfigError("either --config or --reproduce is required")
     return cfg
@@ -245,6 +250,15 @@ def _build_scenario(args) -> Scenario:
 # --- output helpers -------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing ``path`` as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: str, payload) -> None:
     netcore.atomic_write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
@@ -287,15 +301,16 @@ def cmd_simulate(args) -> int:
         "realized_cover": trace.realized_cover,
     }
     if scenario.outdir:
-        os.makedirs(scenario.outdir, exist_ok=True)
-        dynamics.write_trace_jsonl(trace, os.path.join(scenario.outdir, "trace.jsonl"))
-        dynamics.write_trace_csv(trace, os.path.join(scenario.outdir, "trace.csv"))
-        if scenario.params.homogeneous() and scenario.params.eps[0] == -1:
-            lines = ["t,value"]
-            lines += [f"{t},{v:.17g}" for t, v in enumerate(analysis.potential_series(trace))]
-            netcore.atomic_write_lines(os.path.join(scenario.outdir, "potential.csv"), lines)
-            result["potential_series"] = "potential.csv"
-        _write_json(os.path.join(scenario.outdir, "result.json"), result)
+        with _writing(scenario.outdir):
+            os.makedirs(scenario.outdir, exist_ok=True)
+            dynamics.write_trace_jsonl(trace, os.path.join(scenario.outdir, "trace.jsonl"))
+            dynamics.write_trace_csv(trace, os.path.join(scenario.outdir, "trace.csv"))
+            if scenario.params.homogeneous() and scenario.params.eps[0] == -1:
+                lines = ["t,value"]
+                lines += [f"{t},{v:.17g}" for t, v in enumerate(analysis.potential_series(trace))]
+                netcore.atomic_write_lines(os.path.join(scenario.outdir, "potential.csv"), lines)
+                result["potential_series"] = "potential.csv"
+            _write_json(os.path.join(scenario.outdir, "result.json"), result)
     _emit(result, args.json,
           f"{classification.label()} after {trace.steps} steps "
           f"({'converged' if trace.converged else trace.reason})")
@@ -318,8 +333,9 @@ def cmd_check(args) -> int:
         report = analysis.CHECKERS[theorem](scenario.z0, scenario.net, scenario.params)
     print(report.to_json())
     if scenario.outdir:
-        os.makedirs(scenario.outdir, exist_ok=True)
-        _write_json(os.path.join(scenario.outdir, f"check_{theorem}.json"), report.to_dict())
+        with _writing(scenario.outdir):
+            os.makedirs(scenario.outdir, exist_ok=True)
+            _write_json(os.path.join(scenario.outdir, f"check_{theorem}.json"), report.to_dict())
     if not report.applicable:
         return 3
     return 0 if report.holds else 2
@@ -334,26 +350,20 @@ def cmd_enumerate(args) -> int:
     text = oracle.equilibria_to_json(candidates)
     print(text)
     if scenario.outdir:
-        os.makedirs(scenario.outdir, exist_ok=True)
-        netcore.atomic_write_lines(os.path.join(scenario.outdir, "equilibria.json"), [text])
+        with _writing(scenario.outdir):
+            os.makedirs(scenario.outdir, exist_ok=True)
+            netcore.atomic_write_lines(os.path.join(scenario.outdir, "equilibria.json"), [text])
     return 0
 
 
 def cmd_contour(args) -> int:
-    if args.resolution < 2:
-        print("error: resolution must be at least 2", file=sys.stderr)
-        return 1
-    if args.function not in analysis.CONTOUR_FUNCTIONS:
-        print(f"error: unknown contour function {args.function!r}; expected one of "
-              f"{analysis.CONTOUR_FUNCTIONS}", file=sys.stderr)
-        return 1
-    grid = analysis.interior_grid(args.resolution)
-    lines = analysis.contour_csv_lines(args.function, grid, grid)
     try:
+        grid = analysis.interior_grid(args.resolution)
+        lines = analysis.contour_csv_lines(args.function, grid, grid)
+    except ValueError as exc:  # resolution below 2 or unknown function id
+        raise ConfigError(str(exc)) from exc
+    with _writing(args.out):
         netcore.atomic_write_lines(args.out, lines)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
     _emit({"function": args.function, "resolution": args.resolution, "path": args.out},
           args.json, f"wrote {args.function} grid ({args.resolution}x{args.resolution}) to {args.out}")
     return 0
@@ -364,7 +374,8 @@ def cmd_generate(args) -> int:
     out = args.out or "network.txt"
     if os.path.isdir(out):
         out = os.path.join(out, "network.txt")
-    netcore.save_network(scenario.net, out)
+    with _writing(out):
+        netcore.save_network(scenario.net, out)
     report = netcore.validate_network(scenario.net)
     _emit(
         {"path": out, "n": scenario.net.n, "valid": report.valid,
@@ -424,8 +435,9 @@ def cmd_montecarlo(args) -> int:
     if polarized_runs:
         payload["polarized_partition_preserved"] = preserved / polarized_runs
     if scenario.outdir:
-        os.makedirs(scenario.outdir, exist_ok=True)
-        _write_json(os.path.join(scenario.outdir, "montecarlo.json"), payload)
+        with _writing(scenario.outdir):
+            os.makedirs(scenario.outdir, exist_ok=True)
+            _write_json(os.path.join(scenario.outdir, "montecarlo.json"), payload)
     _emit(payload, args.json,
           "; ".join(f"{label}: {entry['count']}/{args.samples}"
                     for label, entry in fractions.items()))

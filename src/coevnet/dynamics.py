@@ -57,6 +57,12 @@ def discriminant_from_sums(
     ) * opinion_sum
 
 
+def opinion_update(opinion_sum, action, lam):
+    """Opinion an agent adopts from its neighbourhood opinion sum ``W[i] @ y``
+    and its action: (1 - lam) W[i] @ y + lam x_i.  Elementwise over arrays."""
+    return (1.0 - lam) * opinion_sum + lam * action
+
+
 def discriminants(
     z: PopulationState,
     net: TwoLayerNetwork,
@@ -122,8 +128,7 @@ def _update(
     for i, delta in deltas.items():
         s = sign_with_inertia(delta, int(z.actions[i]), tie_tol)
         x_new[i] = s
-        mixed_opinion = float(net.W.weights[i] @ z.opinions)
-        y_new[i] = (1.0 - params.lam[i]) * mixed_opinion + params.lam[i] * s
+        y_new[i] = opinion_update(float(net.W.weights[i] @ z.opinions), s, params.lam[i])
     return PopulationState(actions=x_new, opinions=y_new), deltas
 
 
@@ -198,9 +203,6 @@ class ActivationSchedule:
     @classmethod
     def explicit(cls, n: int, sets: Sequence[Iterable[int]]) -> "ActivationSchedule":
         return cls(kind="explicit", n=n, explicit_sets=tuple(frozenset(s) for s in sets))
-
-    def finite(self) -> bool:
-        return self.kind == "explicit"
 
     def iter_sets(self) -> Iterator[frozenset]:
         """Deterministic stream of active sets (fresh, replayable)."""
@@ -407,7 +409,7 @@ def simulate(
             opinion_sum = float(w[i] @ y)
             delta = float(discriminant_from_sums(a[i] @ bracket, opinion_sum, params, i))
             s = _sign(delta, x[i], tie_tol)
-            updates.append((i, s, (1.0 - lam[i]) * opinion_sum + lam[i] * s, delta))
+            updates.append((i, s, opinion_update(opinion_sum, s, lam[i]), delta))
         residual = 0.0
         for i, s, y_i, delta in updates:
             y_i = clip_opinion(y_i)

@@ -30,16 +30,16 @@ class InfeasibleConditionError(ValueError):
     """The requested (parameters, partition) admit no row-stochastic graph."""
 
 
-def _sym_sinkhorn(m: np.ndarray, target: float = 1.0, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+def _sym_sinkhorn(m: np.ndarray, target: float = 1.0) -> np.ndarray:
     """Symmetric scaling D M D until every row sums to ``target``.
 
     Preserves exact symmetry; raises when the sums cannot settle within
-    tolerance in ``max_sweeps`` sweeps (degenerate sparsity).
+    tolerance in ``_MAX_SWEEPS`` sweeps (degenerate sparsity).
     """
     m = np.array(m, dtype=float)
     prev = np.inf
     dev = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         sums = m.sum(axis=1)
         if np.any(sums <= 0.0):
             raise RuntimeError("symmetric normalization hit an empty row")
@@ -53,18 +53,16 @@ def _sym_sinkhorn(m: np.ndarray, target: float = 1.0, max_sweeps: int = _MAX_SWE
         return m
     raise RuntimeError(
         f"symmetric normalization failed to reach tolerance {_SINKHORN_TOL:g} "
-        f"within {max_sweeps} sweeps (deviation {dev:.3e})"
+        f"within {_MAX_SWEEPS} sweeps (deviation {dev:.3e})"
     )
 
 
-def _rect_sinkhorn(
-    m: np.ndarray, row_target: float, col_target: float, max_sweeps: int = _MAX_SWEEPS
-) -> np.ndarray:
+def _rect_sinkhorn(m: np.ndarray, row_target: float, col_target: float) -> np.ndarray:
     """Alternate row/column scaling of a positive rectangular block; the
     aggregate row and column masses must agree for convergence."""
     m = np.array(m, dtype=float)
     dev = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         m *= row_target / m.sum(axis=1, keepdims=True)
         cols = m.sum(axis=0, keepdims=True)
         if np.any(cols <= 0.0):
@@ -88,18 +86,15 @@ def random_symmetric_stochastic(
     if n < 2:
         raise ValueError("need at least two agents")
     rng = np.random.default_rng(seed)
-    base = rng.random((n, n))
-    m = np.triu(base, 1)
-    m = m + m.T
+    m = _sym_random_block(rng, n)
     if not zero_diagonal:
-        diag = rng.random(n)
-        np.fill_diagonal(m, diag)
+        np.fill_diagonal(m, rng.random(n))
     return WeightedGraph(_sym_sinkhorn(m))
 
 
 def _sym_random_block(rng: np.random.Generator, size: int) -> np.ndarray:
-    base = rng.random((size, size))
-    block = np.triu(base, 1)
+    """Symmetric matrix with uniform off-diagonal weights and a zero diagonal."""
+    block = np.triu(rng.random((size, size)), 1)
     return block + block.T
 
 
@@ -132,21 +127,16 @@ def _blocked_symmetric(
     return w
 
 
-def _coupled_masses(
-    rng: np.random.Generator,
-    n_pos: int,
-    n_neg: int,
-    pos_interval: tuple,
-    neg_interval: tuple,
-    context: str,
+def _balanced_range(
+    n_pos: int, n_neg: int, pos_interval: tuple, neg_interval: tuple, context: str
 ) -> tuple:
-    """Sample within-camp masses (m_pos, m_neg) inside their open intervals,
-    subject to the symmetry balance n_pos*(1-m_pos) = n_neg*(1-m_neg)."""
+    """(lo, hi, ratio): the open range of positive-camp masses m_pos inside
+    ``pos_interval`` whose balanced partner m_neg = 1 - ratio*(1 - m_pos),
+    ratio = n_pos/n_neg, lies inside ``neg_interval``."""
     pos_lo, pos_hi = pos_interval
     neg_lo, neg_hi = neg_interval
     ratio = n_pos / n_neg
-    # Balance line m_neg = 1 - ratio*(1 - m_pos); translate the m_neg bounds
-    # into m_pos bounds and intersect.
+    # translate the m_neg bounds into m_pos bounds along the balance line
     lo = max(pos_lo, 1.0 - (1.0 - neg_lo) / ratio)
     hi = min(pos_hi, 1.0 - (1.0 - neg_hi) / ratio)
     if not lo < hi:
@@ -155,6 +145,11 @@ def _coupled_masses(
             f"within-camp masses are {pos_interval} (positive camp) and "
             f"{neg_interval} (negative camp) with camp sizes {n_pos}/{n_neg}"
         )
+    return lo, hi, ratio
+
+
+def _coupled_masses(rng: np.random.Generator, lo: float, hi: float, ratio: float) -> tuple:
+    """Sample balanced within-camp masses (m_pos, m_neg) from a ``_balanced_range``."""
     u = 0.25 + 0.5 * rng.random()
     m_pos = lo + u * (hi - lo)
     m_neg = 1.0 - ratio * (1.0 - m_pos)
@@ -176,34 +171,65 @@ def _interval(lo: float, hi: float) -> tuple:
     return lo + _MARGIN * span, hi - _MARGIN * span
 
 
+def _mass_bands(theorem: str, params: AgentParams, n_pos: int, n_neg: int) -> tuple:
+    """What every attempt for ``theorem`` samples within-camp masses from:
+    for thm3 the (positive camp, negative camp) intervals its checker admits,
+    kept ``_MARGIN`` inside the thresholds; for the symmetric targets the
+    ``_balanced_range`` of those intervals.  Raises
+    :class:`InfeasibleConditionError` when the parameters leave none."""
+    lam, beta, alpha = float(params.lam[0]), float(params.beta[0]), params.alpha
+    if theorem == "thm3":
+        t_pos = analysis.thm3_vp_threshold(beta, lam)
+        t_neg = analysis.thm3_vn_threshold(beta, lam)
+        bands = _interval(t_pos, 0.98), _interval(max(0.0, min(0.02, t_neg / 2.0)), t_neg)
+        if not all(lo < hi for lo, hi in bands):
+            raise InfeasibleConditionError(
+                f"thm3: thresholds {t_pos:.4g}/{t_neg:.4g} leave no admissible "
+                "within-camp mass"
+            )
+        if n_pos < 2 or n_neg < 2:
+            raise ValueError("both camps need at least two members")
+        return bands
+    if theorem == "thm2":
+        pos_band = _interval(1.0 / (alpha + 2.0), 0.95)
+        neg_band = _interval(0.02, (alpha + 1.0) / (alpha + 2.0))
+    elif theorem == "thm7":
+        if not beta < 1.0 / (2.0 - lam):
+            raise InfeasibleConditionError(
+                "thm7: requires beta < 1/(2-lam); "
+                f"got beta={beta:.4g}, 1/(2-lam)={1.0 / (2.0 - lam):.4g}"
+            )
+        lower, upper = analysis.thm7_bounds(beta, lam)
+        lo, hi = max(lower, 0.0), min(upper, 0.95)
+        if not lo < hi:
+            raise InfeasibleConditionError(
+                f"thm7: admissible within-camp interval ({lower:.6g}, {upper:.6g}) "
+                "does not meet [0, 1]; no network can satisfy the conditions"
+            )
+        pos_band = neg_band = _interval(lo, hi)
+    else:  # eq22
+        rhs = analysis.coo_pol_rhs(beta, lam)
+        if not rhs < 0.97:
+            raise InfeasibleConditionError(
+                f"eq22: threshold {rhs:.4g} leaves no admissible within-camp mass"
+            )
+        pos_band = neg_band = _interval(rhs, 0.97)
+    return _balanced_range(n_pos, n_neg, pos_band, neg_band, theorem)
+
+
 def _thm3_rows(
-    rng: np.random.Generator, pos: tuple, neg: tuple, lam: float, beta: float, n: int
+    rng: np.random.Generator, pos: tuple, neg: tuple, bands: tuple, n: int
 ) -> np.ndarray:
-    """Row-stochastic (generally asymmetric) matrix meeting the polarized-to-
-    consensus bounds: heavy within-camp mass for the positive camp, light for
-    the negative camp.  A symmetric matrix cannot meet both bounds with
-    equally sized camps, so rows are rescaled independently."""
-    t_pos = analysis.thm3_vp_threshold(beta, lam)
-    t_neg = analysis.thm3_vn_threshold(beta, lam)
-    pos_lo, pos_hi = _interval(t_pos, 0.98)
-    neg_lo, neg_hi = _interval(max(0.0, min(0.02, t_neg / 2.0)), t_neg)
-    if not (pos_lo < pos_hi and neg_lo < neg_hi):
-        raise InfeasibleConditionError(
-            f"thm3: thresholds {t_pos:.4g}/{t_neg:.4g} leave no admissible "
-            "within-camp mass"
-        )
-    if len(pos) < 2 or len(neg) < 2:
-        raise ValueError("both camps need at least two members")
+    """Row-stochastic (generally asymmetric) matrix whose rows keep a
+    within-camp mass inside their camp's band: heavy for the positive camp,
+    light for the negative camp.  A symmetric matrix cannot meet both thm3
+    bounds with equally sized camps, so rows are rescaled independently."""
     w = np.zeros((n, n))
-    for camp, other, lo, hi in (
-        (pos, neg, pos_lo, pos_hi),
-        (neg, pos, neg_lo, neg_hi),
-    ):
-        inside = list(camp)
+    for camp, other, (lo, hi) in ((pos, neg, bands[0]), (neg, pos, bands[1])):
         outside = list(other)
         for i in camp:
             target = lo + rng.random() * (hi - lo)
-            own = [j for j in inside if j != i]
+            own = [j for j in camp if j != i]
             within_weights = 0.05 + rng.random(len(own))
             within_weights *= target / within_weights.sum()
             cross_weights = 0.05 + rng.random(len(outside))
@@ -233,61 +259,20 @@ def condition_rescaled(
     if not params.homogeneous():
         raise ValueError("condition rescaling needs homogeneous parameters")
     pos, neg = check_partition(partition, n)
-    lam = float(params.lam[0])
-    beta = float(params.beta[0])
+    bands = _mass_bands(theorem, params, len(pos), len(neg))
+    z0 = _canonical_state(pos, neg, n, positive_opinions=theorem == "thm2")
+    # Looked up by name at call time, so a wrapper installed on the module
+    # attribute sees every check.
+    check = getattr(analysis, analysis.CHECKERS[theorem].__name__)
 
     for child in np.random.SeedSequence(seed).spawn(_MAX_RETRIES):
         rng = np.random.default_rng(child)
-        if theorem == "thm2":
-            alpha = params.alpha
-            q_coh = 1.0 / (alpha + 2.0)
-            q_dif = (alpha + 1.0) / (alpha + 2.0)
-            pos_interval = _interval(q_coh, 0.95)
-            neg_interval = _interval(0.02, q_dif)
-            m_pos, m_neg = _coupled_masses(
-                rng, len(pos), len(neg), pos_interval, neg_interval, "thm2"
-            )
-            graph = WeightedGraph(_blocked_symmetric(rng, pos, neg, m_pos, m_neg, n))
-            net = TwoLayerNetwork.single_layer(graph)
-            report = analysis.check_thm2(
-                _canonical_state(pos, neg, n, positive_opinions=True), net, params
-            )
-        elif theorem == "thm3":
-            graph = WeightedGraph(_thm3_rows(rng, pos, neg, lam, beta, n))
-            net = TwoLayerNetwork.single_layer(graph)
-            report = analysis.check_thm3(_canonical_state(pos, neg, n), net, params)
-        elif theorem == "thm7":
-            if not beta < 1.0 / (2.0 - lam):
-                raise InfeasibleConditionError(
-                    "thm7: requires beta < 1/(2-lam); "
-                    f"got beta={beta:.4g}, 1/(2-lam)={1.0 / (2.0 - lam):.4g}"
-                )
-            lower, upper = analysis.thm7_bounds(beta, lam)
-            lo, hi = max(lower, 0.0), min(upper, 0.95)
-            if not lo < hi:
-                raise InfeasibleConditionError(
-                    f"thm7: admissible within-camp interval ({lower:.6g}, {upper:.6g}) "
-                    "does not meet [0, 1]; no network can satisfy the conditions"
-                )
-            band = _interval(lo, hi)
-            m_pos, m_neg = _coupled_masses(rng, len(pos), len(neg), band, band, "thm7")
-            graph = WeightedGraph(_blocked_symmetric(rng, pos, neg, m_pos, m_neg, n))
-            net = TwoLayerNetwork.single_layer(graph)
-            report = analysis.check_thm7(_canonical_state(pos, neg, n), net, params)
-        else:  # eq22
-            rhs = analysis.coo_pol_rhs(beta, lam)
-            if not rhs < 0.97:
-                raise InfeasibleConditionError(
-                    f"eq22: threshold {rhs:.4g} leaves no admissible within-camp mass"
-                )
-            band = _interval(rhs, 0.97)
-            m_pos, m_neg = _coupled_masses(rng, len(pos), len(neg), band, band, "eq22")
-            graph = WeightedGraph(_blocked_symmetric(rng, pos, neg, m_pos, m_neg, n))
-            net = TwoLayerNetwork.single_layer(graph)
-            report = analysis.check_coordination_polarized(
-                _canonical_state(pos, neg, n), net, params
-            )
-        if report.holds:
+        if theorem == "thm3":
+            w = _thm3_rows(rng, pos, neg, bands, n)
+        else:
+            w = _blocked_symmetric(rng, pos, neg, *_coupled_masses(rng, *bands), n)
+        graph = WeightedGraph(w)
+        if check(z0, TwoLayerNetwork.single_layer(graph), params).holds:
             return graph
     raise RuntimeError(
         f"condition rescaling for {theorem} failed its own checker in "
@@ -309,16 +294,11 @@ def complete_bipartite(
             "complete-bipartite generation needs equally sized camps; "
             f"got {len(pos)}/{len(neg)}"
         )
-    w = np.zeros((n, n))
-    p_idx = np.asarray(pos)
-    n_idx = np.asarray(neg)
-    if uniform:
-        cross = np.full((len(pos), len(neg)), 1.0 / len(neg))
-    else:
+    if not uniform:  # the blocked construction with no within-camp mass
         rng = np.random.default_rng(seed)
-        cross = _rect_sinkhorn(0.05 + rng.random((len(pos), len(neg))), 1.0, 1.0)
-    w[np.ix_(p_idx, n_idx)] = cross
-    w[np.ix_(n_idx, p_idx)] = cross.T
+        return WeightedGraph(_blocked_symmetric(rng, pos, neg, 0.0, 0.0, n))
+    w = np.zeros((n, n))
+    w[np.ix_(pos, neg)] = w[np.ix_(neg, pos)] = 1.0 / len(neg)
     return WeightedGraph(w)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .dynamics import Trace, action_bracket, discriminant_from_sums, discriminants
+from .dynamics import Trace, action_bracket, discriminant_from_sums, discriminants, opinion_update
 from .netcore import AgentParams, PopulationState, TwoLayerNetwork
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
@@ -40,7 +40,7 @@ def opinion_fixed_point(
         y = np.linalg.solve(m, params.lam * x)
     except np.linalg.LinAlgError as exc:  # unreachable for row-stochastic W, lam>0
         raise ArithmeticError("opinion fixed-point system is singular") from exc
-    residual = np.max(np.abs(y - ((1.0 - params.lam) * (net.W.weights @ y) + params.lam * x)))
+    residual = np.max(np.abs(y - opinion_update(net.W.weights @ y, x, params.lam)))
     if residual > FIXED_POINT_RESIDUAL_TOL:
         raise ArithmeticError(f"fixed-point residual {residual:.3e} above tolerance")
     return y
@@ -59,7 +59,7 @@ def iterate_opinions(
     y = np.asarray(y0, dtype=float).copy()
     x = np.asarray(x, dtype=float)
     for _ in range(sweeps):
-        y = (1.0 - params.lam) * (net.W.weights @ y) + params.lam * x
+        y = opinion_update(net.W.weights @ y, x, params.lam)
     return y
 
 
@@ -180,7 +180,8 @@ def cross_validate(
         raise ValueError("cross-validation requires a converged trace")
     final = trace.final()
     issues: list[str] = []
-    y_star = opinion_fixed_point(final.actions, net, params)
+    cand = candidate(net, params, final.actions)
+    y_star = cand.y_star
     gaps = np.abs(final.opinions - y_star)
     gap = float(gaps.max())
     if gap > opinion_tol:
@@ -190,7 +191,7 @@ def cross_validate(
                 f"away from the fixed point {y_star[i]:.12g}"
             )
     membership_checked = net.n <= n_max
-    if membership_checked and not candidate(net, params, final.actions).consistent:
+    if membership_checked and not cand.consistent:
         issues.append("terminal action profile is not an equilibrium candidate")
     return CrossValidation(
         ok=not issues,

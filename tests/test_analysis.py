@@ -194,6 +194,49 @@ def test_nash_slack_agrees_with_grid_search():
             assert report.slack[i] >= grid_slack - tol
 
 
+def _exact_branch(i, action, z, net, p):
+    """(opinion, payoff) of agent i's best opinion for ``action`` from the
+    scalar payoff alone: it is a concave quadratic in the opinion, so three
+    samples give its vertex, then clipped to [-1, 1]."""
+    low, mid, high = (payoff(i, (action, y), z, net, p) for y in (-1.0, 0.0, 1.0))
+    curvature = (low + high) / 2.0 - mid
+    y_best = float(np.clip(-(high - low) / (4.0 * curvature), -1.0, 1.0))
+    return y_best, payoff(i, (action, y_best), z, net, p)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_nash_slack_matches_scalar_payoff_with_self_loops(alpha):
+    # self-loops on both layers and heterogeneous parameters: the vectorised
+    # payoff model against the scalar reference at its exact branch optima
+    rng = np.random.default_rng(41 + int(alpha))
+    grid = np.linspace(-1.0, 1.0, 21)
+    for k in range(60):
+        n = int(rng.integers(2, 7))
+        net = TwoLayerNetwork(
+            A=random_symmetric_stochastic(n, 40_000 + k, zero_diagonal=False),
+            W=random_symmetric_stochastic(n, 50_000 + k, zero_diagonal=False),
+        )
+        p = AgentParams(
+            lam=rng.uniform(0.15, 0.85, n),
+            beta=rng.uniform(0.15, 0.85, n),
+            eps=rng.integers(0, 2, n) * 2 - 1,
+            alpha=alpha,
+        )
+        z = rand_state(n, rng)
+        report = is_nash(z, net, p)
+        for i in range(n):
+            branches = {a: _exact_branch(i, a, z, net, p) for a in (-1, 1)}
+            for a, (_, value) in branches.items():
+                assert all(value >= payoff(i, (a, float(y)), z, net, p) - 1e-12 for y in grid)
+            best = max(value for _, value in branches.values())
+            played = payoff(i, (int(z.actions[i]), float(z.opinions[i])), z, net, p)
+            assert report.slack[i] == pytest.approx(played - best, rel=0, abs=1e-12)
+            for x_hat, y_hat in best_response_set(i, z, net, p):
+                y_ref, value = branches[x_hat]
+                assert value == pytest.approx(best, rel=0, abs=1e-12)
+                assert y_hat == pytest.approx(y_ref, rel=0, abs=1e-10)
+
+
 # --- potential ---------------------------------------------------------------------------
 
 

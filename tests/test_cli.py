@@ -302,6 +302,51 @@ def test_contour_unwritable_path(capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("no_header.ini", b"n = 6\n"),
+        ("duplicate.ini", b"[network]\nn = 6\nn = 7\n"),
+        ("latin1.ini", "[network]\nkind = caf\u00e9\n".encode("latin-1")),
+        ("a_directory", None),
+    ],
+)
+def test_malformed_config_files_exit_1(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("simulate", []),
+        ("check", ["--theorem", "thm5"]),
+        ("enumerate", []),
+        ("montecarlo", ["--samples", "1"]),
+        ("generate", []),
+    ],
+)
+def test_unwritable_out_exits_1(tmp_path, capsys, command, extra):
+    cfg = _write(tmp_path, "cfg.ini", SMALL_RUN_INI)
+    # a file where the output directory should go; generate writes one file,
+    # so it gets a path inside a missing directory
+    if command == "generate":
+        out = str(tmp_path / "missing" / "net.txt")
+    else:
+        out = _write(tmp_path, "taken", "")
+    assert main([command, "--config", cfg, "--out", out, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def test_master_seed_determinism(tmp_path):
     cfg = _write(tmp_path, "cfg.ini", SMALL_RUN_INI)
     outs = []

@@ -1,5 +1,6 @@
 """Source-level rules that no behavioural test can see."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,58 @@ def test_no_assert_statements_in_package(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines}"
+
+
+# Formulas of the model that the package writes out exactly once; a second
+# copy is a place where the model could silently drift.
+SINGLE_DEFINITIONS = {
+    "action floor": "(1.0 - 2.0 * lam) / (1.0 - lam)",
+    "opinion rule": "(1.0 - lam) * opinion_sum + lam * action",
+    "discriminant action coefficient": "eps * lam * (1.0 - beta) / 2.0",
+    "discriminant opinion coefficient": "2.0 * (1.0 - lam) * lam * beta",
+    "action bracket": "2.0 * x + alpha * (1.0 + x)",
+}
+PARAMETERS = {"lam", "beta", "eps", "alpha"}
+
+
+def _parameter(node):
+    """Name of the model parameter that ``node`` reads (``lam``, ``params.lam``,
+    ``params.lam[i]``, ``lam[i]``), or None."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in PARAMETERS else None
+
+
+_FSTRING_PARTS = (ast.JoinedStr, ast.FormattedValue)  # unparse needs them intact
+
+
+class _Shape(ast.NodeTransformer):
+    """Reduce every parameter read to the bare parameter name and every
+    subexpression without parameters and constants to ``_``, so copies of a
+    formula that differ only in variable names or indexing unparse alike."""
+
+    def visit(self, node):
+        if isinstance(node, ast.expr):
+            name = _parameter(node)
+            if name is not None:
+                return ast.Name(id=name, ctx=ast.Load())
+            if not isinstance(node, _FSTRING_PARTS) and not any(
+                _parameter(sub) or isinstance(sub, ast.Constant) for sub in ast.walk(node)
+            ):
+                return ast.Name(id="_", ctx=ast.Load())
+        return super().visit(node)
+
+
+def _shapes(tree) -> list:
+    tree = _Shape().visit(tree)
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.expr)]
+
+
+def test_model_formulas_are_defined_once():
+    counts = Counter(
+        shape for path in SOURCES for shape in _shapes(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    for label, formula in SINGLE_DEFINITIONS.items():
+        shape = _shapes(ast.parse(formula, mode="eval").body)[0]  # the formula's own node
+        assert counts[shape] == 1, f"{label} ({shape}) occurs {counts[shape]} times"
