@@ -397,6 +397,12 @@ def _polarized_camps(z0: PopulationState, reasons: list) -> tuple | None:
 # --- checkers ------------------------------------------------------------------
 
 
+def thm2_bounds(alpha: float) -> tuple:
+    """(cohesive, diffusive) thresholds of thm2 on the action-layer camp ratio:
+    the +1 camp keeps at least 1/(alpha+2), the -1 camp below (alpha+1)/(alpha+2)."""
+    return 1.0 / (alpha + 2.0), (alpha + 1.0) / (alpha + 2.0)
+
+
 def check_thm2(
     z0: PopulationState, net: TwoLayerNetwork, params: AgentParams
 ) -> TheoremReport:
@@ -407,14 +413,14 @@ def check_thm2(
         reasons.append("initial opinions must lie in (0, 1]")
     if reasons:
         return _not_applicable("thm2", reasons)
-    alpha = params.alpha
     parts = partition_state(z0)
     rows = []
     notes = []
+    cohesive, diffusive = thm2_bounds(params.alpha)
     for camp, bound, empty_note in (
-        (parts.pos_aligned, ("cohesive", 1.0 / (alpha + 2.0), ">="),
+        (parts.pos_aligned, ("cohesive", cohesive, ">="),
          "+1 camp empty; cohesiveness vacuously satisfied"),
-        (parts.neg_misaligned, ("diffusive", (alpha + 1.0) / (alpha + 2.0), "<"),
+        (parts.neg_misaligned, ("diffusive", diffusive, "<"),
          "-1 camp empty; diffusiveness vacuously satisfied"),
     ):
         if not camp:
@@ -583,6 +589,11 @@ def thm7_bounds(beta: float, lam: float) -> tuple:
     return lower, upper
 
 
+def thm7_beta_ceiling(lam: float) -> float:
+    """1/(2-lam): thm7 requires beta strictly below it."""
+    return 1.0 / (2.0 - lam)
+
+
 def check_thm7(
     z0: PopulationState, net: TwoLayerNetwork, params: AgentParams
 ) -> TheoremReport:
@@ -595,7 +606,7 @@ def check_thm7(
     if not reasons:
         lam = float(params.lam[0])
         beta = float(params.beta[0])
-        if not beta < 1.0 / (2.0 - lam):
+        if not beta < thm7_beta_ceiling(lam):
             reasons.append("beta must be strictly below 1/(2-lam)")
     camps = _polarized_camps(z0, reasons)
     if reasons:

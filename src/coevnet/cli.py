@@ -77,7 +77,7 @@ _PRESETS = {
 
 
 def _read_config(path: str | None, preset: str | None) -> configparser.ConfigParser:
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     if preset is not None:
         if preset not in _PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
@@ -256,7 +256,7 @@ def _writing(path: str):
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: str, payload) -> None:

@@ -177,7 +177,7 @@ def _mass_bands(theorem: str, params: AgentParams, n_pos: int, n_neg: int) -> tu
     kept ``_MARGIN`` inside the thresholds; for the symmetric targets the
     ``_balanced_range`` of those intervals.  Raises
     :class:`InfeasibleConditionError` when the parameters leave none."""
-    lam, beta, alpha = float(params.lam[0]), float(params.beta[0]), params.alpha
+    lam, beta = float(params.lam[0]), float(params.beta[0])
     if theorem == "thm3":
         t_pos = analysis.thm3_vp_threshold(beta, lam)
         t_neg = analysis.thm3_vn_threshold(beta, lam)
@@ -191,13 +191,15 @@ def _mass_bands(theorem: str, params: AgentParams, n_pos: int, n_neg: int) -> tu
             raise ValueError("both camps need at least two members")
         return bands
     if theorem == "thm2":
-        pos_band = _interval(1.0 / (alpha + 2.0), 0.95)
-        neg_band = _interval(0.02, (alpha + 1.0) / (alpha + 2.0))
+        cohesive, diffusive = analysis.thm2_bounds(params.alpha)
+        pos_band = _interval(cohesive, 0.95)
+        neg_band = _interval(0.02, diffusive)
     elif theorem == "thm7":
-        if not beta < 1.0 / (2.0 - lam):
+        ceiling = analysis.thm7_beta_ceiling(lam)
+        if not beta < ceiling:
             raise InfeasibleConditionError(
                 "thm7: requires beta < 1/(2-lam); "
-                f"got beta={beta:.4g}, 1/(2-lam)={1.0 / (2.0 - lam):.4g}"
+                f"got beta={beta:.4g}, 1/(2-lam)={ceiling:.4g}"
             )
         lower, upper = analysis.thm7_bounds(beta, lam)
         lo, hi = max(lower, 0.0), min(upper, 0.95)

@@ -79,6 +79,13 @@ class EquilibriumCandidate:
     marginal: bool
 
 
+def _contradicted(x: np.ndarray, delta: np.ndarray, band: float):
+    """Whether some agent's discriminant points against its action (last axis)
+    by more than ``band``; zero discriminants impose nothing.  Multiplying by
+    an action of +-1 is exact, so this is a pure sign comparison."""
+    return np.any(x * delta < -band, axis=-1)
+
+
 def candidate(
     net: TwoLayerNetwork, params: AgentParams, x: np.ndarray
 ) -> EquilibriumCandidate:
@@ -87,19 +94,11 @@ def candidate(
     y_star = opinion_fixed_point(x, net, params)
     state = PopulationState(actions=x, opinions=y_star)
     delta = discriminants(state, net, params)
-    bad = np.any((delta > 0.0) & (x == -1)) or np.any((delta < 0.0) & (x == 1))
+    bad = _contradicted(x, delta, 0.0)
     marginal = bool(np.any(delta == 0.0))
     return EquilibriumCandidate(
         x=x, y_star=y_star, delta=delta, consistent=not bad, marginal=marginal
     )
-
-
-def _profiles(n: int) -> np.ndarray:
-    """All 2^n action profiles, lexicographic with -1 < +1 and agent 0 most
-    significant."""
-    codes = np.arange(2 ** n, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return (2 * bits - 1).astype(int)
 
 
 def enumerate_equilibria(
@@ -113,28 +112,27 @@ def enumerate_equilibria(
     n = net.n
     if n > n_max:
         raise ValueError(f"enumeration supports at most n_max={n_max} agents, got {n}")
-    solve_map = np.linalg.solve(_system_matrix(net, params), np.diag(params.lam))
-    a_t = net.A.weights.T
-    w_t = net.W.weights.T
+    # The fixed point y* = S x is linear and the action bracket affine in x,
+    # so every discriminant is affine in the profile: delta(x) = M x + c.
+    a = net.A.weights
+    s = np.linalg.solve(_system_matrix(net, params), np.diag(params.lam))
+    slope = action_bracket(1.0, params.alpha) - action_bracket(0.0, params.alpha)
+    m_t = discriminant_from_sums(slope * a.T, (net.W.weights @ s).T, params)
+    c = discriminant_from_sums(a @ action_bracket(np.zeros(n), params.alpha), 0.0, params)
 
     kept: list[EquilibriumCandidate] = []
-    profiles = _profiles(n)
+    shifts = np.arange(n - 1, -1, -1)
+    total = 1 << n
     block = 1 << 14
-    for start in range(0, profiles.shape[0], block):
-        xs = profiles[start : start + block].astype(float)
-        ys = xs @ solve_map.T
-        deltas = discriminant_from_sums(
-            action_bracket(xs, params.alpha) @ a_t, ys @ w_t, params
-        )
+    for start in range(0, total, block):
+        # profiles in lexicographic order, -1 < +1, agent 0 most significant
+        codes = np.arange(start, min(start + block, total), dtype=np.int64)
+        xs = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
         # Conservative pre-filter: only discard clear violations, so profiles
         # in the round-off band get the exact per-profile decision below.
-        guard = 1e-12
-        bad = np.any((deltas > guard) & (xs == -1.0), axis=1) | np.any(
-            (deltas < -guard) & (xs == 1.0), axis=1
-        )
+        bad = _contradicted(xs, xs @ m_t + c, 1e-12)
         for row in np.flatnonzero(~bad):
-            x = profiles[start + row]
-            cand = candidate(net, params, x)
+            cand = candidate(net, params, xs[row])
             if not cand.consistent:
                 continue
             report = analysis.is_nash(
@@ -142,7 +140,7 @@ def enumerate_equilibria(
             )
             if not report.holds:
                 raise ArithmeticError(
-                    f"consistent candidate {x.tolist()} fails the Nash check "
+                    f"consistent candidate {cand.x.tolist()} fails the Nash check "
                     f"(worst slack {report.worst():.3e})"
                 )
             kept.append(cand)

@@ -345,6 +345,7 @@ def test_unwritable_out_exits_1(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+    assert ".tmp-" not in err  # the reason, not the temporary file's name
 
 
 def test_master_seed_determinism(tmp_path):
@@ -417,10 +418,14 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         ({("network", "kind"): "condition_rescaled", ("network", "split"): "3 3"}, [],
          "condition_rescaled needs a theorem id"),
         ({}, ["--seed", "-1"], "--seed must be a non-negative integer"),
+        # raw INI text, since _with's own ConfigParser rejects a lone "%"
+        pytest.param(SMALL_RUN_INI.replace("random_symmetric", "50%"), [],
+                     "unknown generator kind '50%'", id="lone-percent"),
     ],
 )
 def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):
-    cfg = _write(tmp_path, "bad.ini", _with(overrides))
+    text = overrides if isinstance(overrides, str) else _with(overrides)
+    cfg = _write(tmp_path, "bad.ini", text)
     assert main(["simulate", "--config", cfg, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -24,6 +24,9 @@ SINGLE_DEFINITIONS = {
     "discriminant action coefficient": "eps * lam * (1.0 - beta) / 2.0",
     "discriminant opinion coefficient": "2.0 * (1.0 - lam) * lam * beta",
     "action bracket": "2.0 * x + alpha * (1.0 + x)",
+    "thm2 cohesive bound": "1.0 / (alpha + 2.0)",
+    "thm2 diffusive bound": "(alpha + 1.0) / (alpha + 2.0)",
+    "thm7 beta ceiling": "1.0 / (2.0 - lam)",
 }
 PARAMETERS = {"lam", "beta", "eps", "alpha"}
 

@@ -3,6 +3,7 @@ import pytest
 
 from coevnet import (
     ActivationSchedule,
+    AgentParams,
     PopulationState,
     StopCriterion,
     TwoLayerNetwork,
@@ -128,17 +129,57 @@ def test_enumerate_raises_when_a_candidate_fails_the_nash_check(monkeypatch):
         enumerate_equilibria(net, uniform_params(3, 0.5, 0.5, 1))
 
 
-def test_candidate_consistency_matches_membership():
+def _consistency_cases():
+    """(net, params, profile codes to check one by one) for the enumeration's
+    differential test."""
     rng = np.random.default_rng(13)
     for k in range(30):
         n = int(rng.integers(2, 7))
-        net = rand_net(n, seed=1500 + k)
         p = uniform_params(n, float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
                            -1 if k % 2 else 1)
-        members = {tuple(c.x.tolist()) for c in enumerate_equilibria(net, p)}
-        for code in range(2 ** n):
-            x = np.array([1 if (code >> (n - 1 - j)) & 1 else -1 for j in range(n)])
-            assert (tuple(x.tolist()) in members) == candidate(net, p, x).consistent
+        yield rand_net(n, seed=1500 + k), p, range(2 ** n)
+    for k in range(12):  # heterogeneous lam, beta and eps
+        n = int(rng.integers(2, 8))
+        p = AgentParams(rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n),
+                        rng.choice([-1, 1], n), (0.0, 0.5, 2.0)[k % 3])
+        yield rand_net(n, seed=1600 + k), p, range(2 ** n)
+    # Self-loops, anti-coordinating only: the discriminant counts an action
+    # self-loop at the agent's current action while the payoff pairs the
+    # candidate action with itself, so with eps = +1 a consistent profile can
+    # fail the Nash check and the enumeration raises.
+    for k in range(6):
+        n = int(rng.integers(2, 8))
+        net = TwoLayerNetwork(A=random_symmetric_stochastic(n, 1700 + k, zero_diagonal=False),
+                              W=random_symmetric_stochastic(n, 1800 + k, zero_diagonal=False))
+        p = uniform_params(n, float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
+                           -1, (0.0, 0.5, 2.0)[k % 3])
+        yield net, p, range(2 ** n)
+    # uniform complete-bipartite graphs: exact-zero ties make marginal candidates
+    for n, eps, alpha in ((8, -1, 0.0), (6, -1, 0.5), (6, 1, 2.0)):
+        camps = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+        net = TwoLayerNetwork.single_layer(complete_bipartite(camps, seed=0, uniform=True))
+        yield net, uniform_params(n, 0.5, 0.5, eps, alpha), range(2 ** n)
+    # n = 15 spans two profile blocks of 2^14.  Agent 0 anti-coordinates
+    # against a coordinating rest, so both profiles at the block boundary are
+    # equilibria; the profiles near every block edge are checked one by one.
+    n, edge = 15, 256
+    p = AgentParams(np.full(n, 0.5), np.full(n, 0.2), np.array([-1] + [1] * (n - 1)))
+    codes = [*range(edge), *range(2 ** 14 - edge, 2 ** 14 + edge), *range(2 ** n - edge, 2 ** n)]
+    yield rand_net(n, seed=1900), p, codes
+
+
+def test_candidate_consistency_matches_membership():
+    marginal = 0
+    for net, p, codes in _consistency_cases():
+        n = net.n
+        profiles = [tuple(1 if (code >> (n - 1 - j)) & 1 else -1 for j in range(n)) for code in codes]
+        kept = enumerate_equilibria(net, p)
+        marginal += sum(c.marginal for c in kept)
+        expected = [x for x in profiles if candidate(net, p, np.array(x)).consistent]
+        # in profile order, each once, and nothing else among the checked ones
+        checked = set(profiles)
+        assert [tuple(c.x.tolist()) for c in kept if tuple(c.x.tolist()) in checked] == expected
+    assert marginal  # the bipartite cases reach the zero-tie path
 
 
 def test_consistent_candidates_are_nash_and_vice_versa():
@@ -153,6 +194,23 @@ def test_consistent_candidates_are_nash_and_vice_versa():
             x = np.array([1 if (code >> (n - 1 - j)) & 1 else -1 for j in range(n)])
             z = PopulationState(actions=x, opinions=opinion_fixed_point(x, net, p))
             assert is_nash(z, net, p).holds == (tuple(x.tolist()) in members)
+
+
+def test_enumeration_memory_does_not_grow_with_profile_count():
+    # profiles are streamed in fixed-size blocks, so four times as many
+    # profiles must not take four times the memory
+    import tracemalloc
+
+    peaks = []
+    for n in (16, 18):
+        net, p = rand_net(n, seed=5), uniform_params(n, 0.5, 0.5, 1, 0.5)
+        tracemalloc.start()
+        try:
+            enumerate_equilibria(net, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], f"peak {peaks[1]} B at n=18 vs {peaks[0]} B at n=16"
 
 
 def test_thm5_membership_biconditional_small():
