@@ -43,19 +43,18 @@ def payoff(
     """Payoff agent i would earn by playing ``candidate`` = (action, opinion)
     while everyone else keeps their profile from ``z``.
 
-    Index i inside the sums refers to the candidate itself, so the opinion
-    mismatch self-term vanishes and a self-loop on the action layer rewards
-    the candidate action.
+    The action layer has no self-loops (``TwoLayerNetwork`` rejects them),
+    so the game term is over the others.  An opinion self-weight w_ii pairs
+    the candidate opinion with the agent's current opinion z.opinions[i]: it
+    anchors the agent, and it makes the opinion update the best response.
     """
     x_hat, y_hat = int(candidate[0]), float(candidate[1])
     if x_hat not in (-1, 1):
         raise ValueError("candidate action must be -1 or +1")
     if abs(y_hat) > 1.0:
         raise ValueError("candidate opinion must lie in [-1, 1]")
-    xj = z.actions.astype(float).copy()
-    yj = z.opinions.copy()
-    xj[i] = x_hat
-    yj[i] = y_hat
+    xj = z.actions.astype(float)
+    yj = z.opinions
     a = net.A.weights[i]
     w = net.W.weights[i]
     alpha = params.alpha
@@ -71,22 +70,15 @@ def payoff(
     return coordination + social + consistency
 
 
-def _neighbourhood(z: PopulationState, net: TwoLayerNetwork) -> tuple:
-    """Each agent's sums over its neighbours j != i at ``z``: of a_ij (1 - x_j)
-    and a_ij (1 + x_j) on the action layer; of w_ij, w_ij y_j and w_ij y_j^2
-    on the opinion layer; plus the action-layer self-loop weights."""
-    x, y = z.actions.astype(float), z.opinions
+def _neighbourhood(x: np.ndarray, y: np.ndarray, net: TwoLayerNetwork) -> tuple:
+    """Each agent's weighted sums over the profile of actions ``x`` and
+    opinions ``y`` (agents on the last axis, leading axes batch profiles): of
+    a_ij (1 - x_j) and a_ij (1 + x_j) on the action layer, which has no
+    self-loops; of w_ij, w_ij y_j and w_ij y_j^2 on the opinion layer, where
+    j = i is the agent's current opinion."""
     A, W = net.A.weights, net.W.weights
-    diag_a, diag_w = np.diag(A), np.diag(W)
-    sa, ma = A.sum(axis=1) - diag_a, A @ x - diag_a * x
-    return (
-        sa - ma,
-        sa + ma,
-        W.sum(axis=1) - diag_w,
-        W @ y - diag_w * y,
-        W @ (y * y) - diag_w * (y * y),
-        diag_a,
-    )
+    sa, ma = A.sum(axis=1), (A @ x.T).T
+    return sa - ma, sa + ma, W.sum(axis=1), (W @ y.T).T, (W @ (y * y).T).T
 
 
 def _pair_weight(xa, xb, alpha: float):
@@ -97,15 +89,12 @@ def _pair_weight(xa, xb, alpha: float):
 
 
 def _payoffs(x_hat, y_hat, sums: tuple, params: AgentParams) -> np.ndarray:
-    """Payoff of every agent i playing (x_hat[i], y_hat[i]) against the others'
-    profile as summed by ``_neighbourhood``: the three terms of ``payoff``, where
-    an action self-loop pairs x_hat[i] with itself and an opinion self-loop
-    costs nothing."""
-    a_minus, a_plus, sw, sig, qw, diag_a = sums
+    """Payoff of every agent i playing (x_hat[i], y_hat[i]) against the
+    profile summed by ``_neighbourhood``: the three terms of ``payoff``."""
+    a_minus, a_plus, sw, sig, qw = sums
     lam, beta, alpha = params.lam, params.beta, params.alpha
-    # sum over neighbours j of a_ij * pair(x_hat_i, x_j), then the self-loop pair
+    # sum over neighbours j of a_ij * pair(x_hat_i, x_j)
     pairs = (1.0 - x_hat) * a_minus + (1.0 + alpha) * (1.0 + x_hat) * a_plus
-    pairs = pairs + diag_a * _pair_weight(x_hat, x_hat, alpha)
     coordination = params.eps * lam * (1.0 - beta) / 4.0 * pairs
     social = -0.5 * (1.0 - lam) * beta * (y_hat * y_hat * sw - 2.0 * y_hat * sig + qw)
     consistency = -0.5 * lam * beta * (y_hat - x_hat) ** 2
@@ -134,7 +123,7 @@ def best_response_set(
     Returns one pair, or both branch optima when their payoffs tie within
     ``tie_tol`` (ordered action -1 first on ties).
     """
-    sums = _neighbourhood(z, net)
+    sums = _neighbourhood(z.actions.astype(float), z.opinions, net)
     f_plus, y_plus = _branch(1.0, sums, params)
     f_minus, y_minus = _branch(-1.0, sums, params)
     fp, fm = float(f_plus[i]), float(f_minus[i])
@@ -155,6 +144,17 @@ class NashReport:
         return float(self.slack.min())
 
 
+def nash_slack(
+    x: np.ndarray, y: np.ndarray, net: TwoLayerNetwork, params: AgentParams
+) -> np.ndarray:
+    """Payoff of every agent's played (x_i, y_i) minus its best deviation, for
+    actions ``x`` (floats) and opinions ``y`` with agents on the last axis;
+    leading axes batch profiles."""
+    sums = _neighbourhood(x, y, net)
+    best = np.maximum(_branch(1.0, sums, params)[0], _branch(-1.0, sums, params)[0])
+    return _payoffs(x, y, sums, params) - best
+
+
 def is_nash(
     z: PopulationState,
     net: TwoLayerNetwork,
@@ -162,9 +162,7 @@ def is_nash(
     tol: float = NASH_TOL,
 ) -> NashReport:
     """Whether every agent already plays a best response, within payoff ``tol``."""
-    sums = _neighbourhood(z, net)
-    best = np.maximum(_branch(1.0, sums, params)[0], _branch(-1.0, sums, params)[0])
-    slack = _payoffs(z.actions.astype(float), z.opinions, sums, params) - best
+    slack = nash_slack(z.actions.astype(float), z.opinions, net, params)
     slack.setflags(write=False)
     return NashReport(holds=bool(np.all(slack >= -tol)), slack=slack, tol=tol)
 
@@ -184,13 +182,11 @@ class PotentialValue:
 def _potential_weights(
     net: TwoLayerNetwork, params: AgentParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-agent game weight eta, the action layer without self-loops, and the
-    per-agent consistency weight lam / (1 - lam)."""
+    """Per-agent game weight eta, the action layer (free of self-loops), and
+    the per-agent consistency weight lam / (1 - lam)."""
     lam, beta = params.lam, params.beta
     eta = lam * (1.0 - beta) / (4.0 * beta * (1.0 - lam))
-    a_off = net.A.weights.copy()
-    np.fill_diagonal(a_off, 0.0)
-    return eta, a_off, lam / (1.0 - lam)
+    return eta, net.A.weights, lam / (1.0 - lam)
 
 
 def potential(
@@ -207,9 +203,9 @@ def potential(
     x = z.actions.astype(float)
     y = z.opinions
     W = net.W.weights
-    eta, a_off, kappa = _potential_weights(net, params)
+    eta, a, kappa = _potential_weights(net, params)
     pair = _pair_weight(x[:, None], x[None, :], params.alpha)
-    game_term = -0.5 * float(eta @ (a_off * pair).sum(axis=1))
+    game_term = -0.5 * float(eta @ (a * pair).sum(axis=1))
     social_term = -0.25 * float((W * (y[:, None] - y[None, :]) ** 2).sum())
     consistency_term = -0.5 * float(np.sum(kappa * (x - y) ** 2))
     valid = bool(
@@ -235,8 +231,8 @@ def potential_series(trace: Trace) -> list[float]:
     net, params = trace.net, trace.params
     x = trace.z0.actions.astype(float)
     y = trace.z0.opinions.copy()
-    eta, a_off, kappa = _potential_weights(net, params)
-    one_sided = eta[:, None] * a_off
+    eta, a, kappa = _potential_weights(net, params)
+    one_sided = eta[:, None] * a
     game = one_sided + one_sided.T  # game[k, j]: weight of the pair (k, j), both sides
     social = net.W.weights + net.W.weights.T
     np.fill_diagonal(social, 0.0)

@@ -190,8 +190,11 @@ def _build_network(
         raise ConfigError("[network] opinion_layer must be same or random_symmetric")
     kind = cfg.get("network", "kind", fallback="random_symmetric")
     theorem = cfg.get("network", "theorem", fallback=None)
+    if opinion_layer == "same" and not zero_diagonal:
+        raise ConfigError("[network] zero_diagonal = false needs opinion_layer = "
+                          "random_symmetric; the action layer has no self-loops")
     try:
-        spec = genesis.GenSpec(kind, n, seed, zero_diagonal, theorem, split, uniform)
+        spec = genesis.GenSpec(kind, n, seed, theorem, split, uniform)
         graph = genesis.build_graph(spec, params)
         if opinion_layer == "same":
             net = netcore.TwoLayerNetwork.single_layer(graph)

@@ -3,8 +3,9 @@ action/opinion update, activation schedules with persistence certificates,
 the simulation loop, and trace export.
 
 Within one step every active agent evaluates the pre-step state, so
-simultaneous activation is order-free.  Sums deliberately run over all
-agents including self-loops; generators default to zero diagonals.
+simultaneous activation is order-free.  The action sum runs over the
+others only, since the action layer has no self-loops (``TwoLayerNetwork``
+rejects them); the opinion sum includes an agent's own opinion weight.
 
 The engine is single-threaded and deterministic.  Runs are pure functions of
 immutable inputs, so independent simulations (different seeds or parameters)
@@ -16,6 +17,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -93,6 +95,17 @@ def discriminant(
     if not 0 <= i < z.n:
         raise IndexError(f"agent index {i} out of range for n={z.n}")
     return float(discriminants(z, net, params, (i,))[0])
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything
+    else (floats, bools, strings) is rejected rather than truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -174,6 +187,9 @@ class ActivationSchedule:
     persistence: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer("n", self.n))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.n < 1:
             raise ValueError("schedule needs at least one agent")
         if self.kind == "round_robin":
@@ -182,7 +198,7 @@ class ActivationSchedule:
             if self.seed is None or self.seed < 0:
                 raise ValueError("uniform_random schedule needs a non-negative seed")
         elif self.kind == "explicit":
-            sets = tuple(frozenset(int(i) for i in s) for s in self.explicit_sets)
+            sets = tuple(frozenset(_integer("agent", i) for i in s) for s in self.explicit_sets)
             if not sets:
                 raise ValueError("explicit schedule needs at least one step")
             if any(i < 0 or i >= self.n for s in sets for i in s):
@@ -198,7 +214,7 @@ class ActivationSchedule:
 
     @classmethod
     def uniform_random(cls, n: int, seed: int) -> "ActivationSchedule":
-        return cls(kind="uniform_random", n=n, seed=int(seed))
+        return cls(kind="uniform_random", n=n, seed=seed)
 
     @classmethod
     def explicit(cls, n: int, sets: Sequence[Iterable[int]]) -> "ActivationSchedule":
@@ -274,6 +290,9 @@ class StopCriterion:
     window: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps))
+        if self.window is not None:
+            object.__setattr__(self, "window", _integer("window", self.window))
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if not self.opinion_tol > 0.0:  # also rejects NaN

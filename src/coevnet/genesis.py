@@ -354,7 +354,6 @@ class GenSpec:
     kind: str  # "random_symmetric" | "condition_rescaled" | "complete_bipartite"
     n: int
     seed: int
-    zero_diagonal: bool = True
     theorem: str | None = None
     partition: tuple | None = None
     uniform: bool = False
@@ -370,7 +369,7 @@ class GenSpec:
 
 def build_graph(spec: GenSpec, params: AgentParams | None = None) -> WeightedGraph:
     if spec.kind == "random_symmetric":
-        return random_symmetric_stochastic(spec.n, spec.seed, spec.zero_diagonal)
+        return random_symmetric_stochastic(spec.n, spec.seed)
     if spec.kind == "complete_bipartite":
         return complete_bipartite(spec.partition, spec.seed, spec.uniform)
     if params is None:

@@ -66,7 +66,11 @@ class WeightedGraph:
 @dataclass(frozen=True)
 class TwoLayerNetwork:
     """Pair of row-stochastic graphs on one node set: G[A] carries the actions
-    agents observe, G[W] carries the opinions they exchange."""
+    agents observe, G[W] carries the opinions they exchange.
+
+    Agents observe only the others' actions, so G[A] has a zero diagonal;
+    an opinion-layer self-weight is legal (it anchors the agent's opinion).
+    """
 
     A: WeightedGraph
     W: WeightedGraph
@@ -76,6 +80,12 @@ class TwoLayerNetwork:
             raise ValueError("both layers must share the node set")
         if not (self.A.row_stochastic and self.W.row_stochastic):
             raise ValueError("both layers must be row-stochastic")
+        loops = np.flatnonzero(np.diag(self.A.weights))
+        if loops.size:
+            raise ValueError(
+                f"action layer has a self-loop at agent {loops[0] + 1}; "
+                "agents observe only the others' actions"
+            )
 
     @classmethod
     def single_layer(cls, graph: WeightedGraph) -> "TwoLayerNetwork":

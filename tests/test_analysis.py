@@ -206,14 +206,14 @@ def _exact_branch(i, action, z, net, p):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_nash_slack_matches_scalar_payoff_with_self_loops(alpha):
-    # self-loops on both layers and heterogeneous parameters: the vectorised
+    # opinion-layer self-loops and heterogeneous parameters: the vectorised
     # payoff model against the scalar reference at its exact branch optima
     rng = np.random.default_rng(41 + int(alpha))
     grid = np.linspace(-1.0, 1.0, 21)
     for k in range(60):
         n = int(rng.integers(2, 7))
         net = TwoLayerNetwork(
-            A=random_symmetric_stochastic(n, 40_000 + k, zero_diagonal=False),
+            A=random_symmetric_stochastic(n, 40_000 + k),
             W=random_symmetric_stochastic(n, 50_000 + k, zero_diagonal=False),
         )
         p = AgentParams(

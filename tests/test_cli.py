@@ -2,9 +2,10 @@ import argparse
 import json
 import os
 
+import numpy as np
 import pytest
 
-from coevnet import load_network, potential, simulate
+from coevnet import AgentParams, PopulationState, is_nash, load_network, potential, simulate
 from coevnet.cli import _build_scenario, main
 from coevnet.dynamics import read_trace_csv, read_trace_jsonl
 
@@ -372,6 +373,36 @@ def test_master_seed_determinism(tmp_path):
 # --- rejected configuration values ------------------------------------------------
 
 
+def test_action_self_loop_in_network_file_exits_1(tmp_path, capsys):
+    net = _write(tmp_path, "net.txt", "n 2 layers 1\nW 1 1 1\nW 2 1 1\n")
+    cfg = _write(tmp_path, "run.ini", f"[network]\nsource = file\npath = {net}\n")
+    assert main(["enumerate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load network") and "self-loop at agent 1" in err
+    assert "Traceback" not in err
+
+
+def test_zero_diagonal_false_puts_self_weights_on_the_opinion_layer_only(tmp_path, capsys):
+    # eps = -1 at lam = beta = 1/2 puts the consensus on a payoff tie
+    cfg = _write(tmp_path, "run.ini", _with({
+        ("network", "zero_diagonal"): "false",
+        ("network", "opinion_layer"): "random_symmetric",
+        ("params", "beta"): "0.5",
+    }))
+    out = str(tmp_path / "net.txt")
+    assert main(["generate", "--config", cfg, "--out", out]) == 0
+    net = load_network(out)
+    assert np.all(np.diag(net.A.weights) == 0.0) and np.all(np.diag(net.W.weights) > 0.0)
+    capsys.readouterr()
+    assert main(["enumerate", "--config", cfg]) == 0
+    records = json.loads(capsys.readouterr().out)
+    params = AgentParams.uniform(net.n, 0.5, 0.5, -1)
+    assert records and all(
+        is_nash(PopulationState(actions=r["x"], opinions=r["y"]), net, params).holds
+        for r in records
+    )
+
+
 def test_single_layer_file_with_a_lines_exits_1(tmp_path, capsys):
     net = _write(tmp_path, "net.txt", "n 2 layers 1\nA 1 2 1\nW 2 1 1\n")
     cfg = _write(tmp_path, "run.ini", f"[network]\nsource = file\npath = {net}\n")
@@ -406,6 +437,8 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         ({("network", "n"): "6.5"}, [], "[network] n must be an integer"),
         ({("network", "seed"): "1.5"}, [], "[network] seed must be an integer"),
         ({("network", "zero_diagonal"): "maybe"}, [], "zero_diagonal must be true or false"),
+        ({("network", "zero_diagonal"): "false"}, [],
+         "zero_diagonal = false needs opinion_layer = random_symmetric"),
         ({("stop", "max_steps"): "4e3"}, [], "[stop] max_steps must be an integer"),
         ({("stop", "window"): "ten"}, [], "[stop] window must be an integer"),
         ({("stop", "opinion_tol"): "nan"}, [], "opinion_tol must be positive"),

@@ -214,6 +214,41 @@ def test_uniform_random_stream_is_replayable():
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(lambda: ActivationSchedule.uniform_random(5, 1.5),
+                     "seed must be an integer", id="float-seed"),
+        pytest.param(lambda: ActivationSchedule.uniform_random(5, True),
+                     "seed must be an integer", id="bool-seed"),
+        pytest.param(lambda: ActivationSchedule(kind="uniform_random", n=5, seed=1.5),
+                     "seed must be an integer", id="float-seed-constructor"),
+        pytest.param(lambda: ActivationSchedule.round_robin(2.5),
+                     "n must be an integer", id="float-n"),
+        pytest.param(lambda: ActivationSchedule.uniform_random(np.float64(5.0), 1),
+                     "n must be an integer", id="numpy-float-n"),
+        pytest.param(lambda: ActivationSchedule.explicit(3, [{0}, {1.5}]),
+                     "agent must be an integer", id="float-explicit-agent"),
+        pytest.param(lambda: StopCriterion(max_steps=2.5),
+                     "max_steps must be an integer", id="float-max-steps"),
+        pytest.param(lambda: StopCriterion(max_steps="10"),
+                     "max_steps must be an integer", id="str-max-steps"),
+        pytest.param(lambda: StopCriterion(max_steps=10, window=2.5),
+                     "window must be an integer", id="float-window"),
+    ],
+)
+def test_non_integral_counts_and_seeds_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_numpy_integers_are_accepted_as_python_ints():
+    sched = ActivationSchedule.uniform_random(np.int64(5), np.uint32(7))
+    stop = StopCriterion(max_steps=np.int32(10), window=np.int64(3))
+    assert (sched.n, sched.seed, stop.max_steps, stop.window) == (5, 7, 10, 3)
+    assert all(type(v) is int for v in (sched.n, sched.seed, stop.max_steps, stop.window))
+
+
 # --- simulate ------------------------------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ SINGLE_DEFINITIONS = {
     "thm2 cohesive bound": "1.0 / (alpha + 2.0)",
     "thm2 diffusive bound": "(alpha + 1.0) / (alpha + 2.0)",
     "thm7 beta ceiling": "1.0 / (2.0 - lam)",
+    "oracle tie band": "1e-12 * (np.abs(c) + np.abs(m_t).sum(axis=0))",
 }
 PARAMETERS = {"lam", "beta", "eps", "alpha"}
 
@@ -72,3 +73,14 @@ def test_model_formulas_are_defined_once():
     for label, formula in SINGLE_DEFINITIONS.items():
         shape = _shapes(ast.parse(formula, mode="eval").body)[0]  # the formula's own node
         assert counts[shape] == 1, f"{label} ({shape}) occurs {counts[shape]} times"
+
+
+def test_one_linear_solve_in_package():
+    # the opinion fixed point and the oracle's y* = S x share one solve
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and ast.unparse(node).endswith("linalg.solve")
+    ]
+    assert len(sites) == 1, f"np.linalg.solve at {sites}"

@@ -69,6 +69,16 @@ def test_layer_size_mismatch_rejected():
         TwoLayerNetwork(A=a, W=w)
 
 
+def test_action_layer_self_loop_rejected_naming_the_agent():
+    loop = WeightedGraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.5, 0.0]]))
+    free = WeightedGraph(np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]))
+    with pytest.raises(ValueError, match="action layer has a self-loop at agent 2"):
+        TwoLayerNetwork(A=loop, W=free)
+    with pytest.raises(ValueError, match="self-loop at agent 2"):
+        TwoLayerNetwork.single_layer(loop)
+    assert TwoLayerNetwork(A=free, W=loop).n == 3  # an opinion self-weight is legal
+
+
 def test_weights_are_immutable():
     g = WeightedGraph(np.eye(3))
     with pytest.raises(ValueError):
@@ -306,6 +316,8 @@ def test_network_roundtrip_single_layer(tmp_path):
         ("n 2 layers 1\nW 1 x 1\nW 2 1 1\n", "malformed edge line"),
         ("n 2 layers 1\nA 1 2 1\nW 2 1 1\n", "single-layer file has an A edge line"),
         ("n 2 layers 2\nW 1 2 1\nW 2 1 1\n", "layer A has 0 edge lines"),
+        ("n 2 layers 1\nW 1 1 1\nW 2 1 1\n", "self-loop at agent 1"),
+        ("n 2 layers 2\nA 1 2 1\nA 2 2 1\nW 1 2 1\nW 2 1 1\n", "self-loop at agent 2"),
         # a header this large must be refused before any n x n allocation
         ("n 1000000000 layers 1\nW 1 2 1\nW 2 1 1\n", "n=1000000000"),
         ("n 1000000000 layers 2\nA 1 2 1\nW 2 1 1\n", "n=1000000000"),

@@ -9,6 +9,7 @@ from coevnet import (
     TwoLayerNetwork,
     check_thm5,
     check_thm6,
+    discriminants,
     is_nash,
     simulate,
 )
@@ -119,67 +120,109 @@ def test_enumerate_raises_when_a_candidate_fails_the_nash_check(monkeypatch):
     # the invariant is an explicit exception, so it also holds under python -O
     from coevnet import analysis
 
-    def failing(z, net, params, tol=analysis.NASH_TOL):
-        slack = np.full(z.n, -0.25)
-        return analysis.NashReport(holds=False, slack=slack, tol=tol)
+    def failing(x, y, net, params):
+        return np.full(x.shape, -0.25)
 
-    monkeypatch.setattr(analysis, "is_nash", failing)
+    monkeypatch.setattr(analysis, "nash_slack", failing)
     net = rand_net(3, seed=5)
     with pytest.raises(ArithmeticError, match=r"\[.*\] fails the Nash check \(worst slack -2\.500e-01\)"):
         enumerate_equilibria(net, uniform_params(3, 0.5, 0.5, 1))
 
 
+def _bipartite(n: int) -> TwoLayerNetwork:
+    """Uniform complete-bipartite graph on two equal camps: a tie-heavy input."""
+    camps = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    return TwoLayerNetwork.single_layer(complete_bipartite(camps, seed=0, uniform=True))
+
+
 def _consistency_cases():
-    """(net, params, profile codes to check one by one) for the enumeration's
-    differential test."""
+    """(net, params, profile codes to check one by one, whether the graph is
+    tie-heavy) for the enumeration's differential tests."""
     rng = np.random.default_rng(13)
     for k in range(30):
         n = int(rng.integers(2, 7))
         p = uniform_params(n, float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
                            -1 if k % 2 else 1)
-        yield rand_net(n, seed=1500 + k), p, range(2 ** n)
+        yield rand_net(n, seed=1500 + k), p, range(2 ** n), False
     for k in range(12):  # heterogeneous lam, beta and eps
         n = int(rng.integers(2, 8))
         p = AgentParams(rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.9, n),
                         rng.choice([-1, 1], n), (0.0, 0.5, 2.0)[k % 3])
-        yield rand_net(n, seed=1600 + k), p, range(2 ** n)
-    # Self-loops, anti-coordinating only: the discriminant counts an action
-    # self-loop at the agent's current action while the payoff pairs the
-    # candidate action with itself, so with eps = +1 a consistent profile can
-    # fail the Nash check and the enumeration raises.
+        yield rand_net(n, seed=1600 + k), p, range(2 ** n), False
+    # opinion-layer self-weights (the action layer has no self-loops), both eps
     for k in range(6):
         n = int(rng.integers(2, 8))
-        net = TwoLayerNetwork(A=random_symmetric_stochastic(n, 1700 + k, zero_diagonal=False),
+        net = TwoLayerNetwork(A=random_symmetric_stochastic(n, 1700 + k),
                               W=random_symmetric_stochastic(n, 1800 + k, zero_diagonal=False))
         p = uniform_params(n, float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
-                           -1, (0.0, 0.5, 2.0)[k % 3])
-        yield net, p, range(2 ** n)
-    # uniform complete-bipartite graphs: exact-zero ties make marginal candidates
-    for n, eps, alpha in ((8, -1, 0.0), (6, -1, 0.5), (6, 1, 2.0)):
-        camps = (tuple(range(n // 2)), tuple(range(n // 2, n)))
-        net = TwoLayerNetwork.single_layer(complete_bipartite(camps, seed=0, uniform=True))
-        yield net, uniform_params(n, 0.5, 0.5, eps, alpha), range(2 ** n)
-    # n = 15 spans two profile blocks of 2^14.  Agent 0 anti-coordinates
-    # against a coordinating rest, so both profiles at the block boundary are
-    # equilibria; the profiles near every block edge are checked one by one.
+                           -1 if k % 2 else 1, (0.0, 0.5, 2.0)[k % 3])
+        yield net, p, range(2 ** n), False
+    # uniform complete-bipartite graphs: payoff ties make marginal candidates
+    for n, eps, alpha in ((8, -1, 0.0), (6, -1, 0.5), (6, 1, 2.0), (10, -1, 0.0), (8, 1, 0.0)):
+        yield _bipartite(n), uniform_params(n, 0.5, 0.5, eps, alpha), range(2 ** n), True
+    # n = 15 spans four profile blocks of 2^13.  Agent 0 anti-coordinates
+    # against a coordinating rest, so both profiles at the middle block
+    # boundary are equilibria; the profiles near every block edge are checked
+    # one by one.
     n, edge = 15, 256
     p = AgentParams(np.full(n, 0.5), np.full(n, 0.2), np.array([-1] + [1] * (n - 1)))
-    codes = [*range(edge), *range(2 ** 14 - edge, 2 ** 14 + edge), *range(2 ** n - edge, 2 ** n)]
-    yield rand_net(n, seed=1900), p, codes
+    codes = [code for b in range(0, 2 ** n + 1, 2 ** 13)
+             for code in range(max(b - edge, 0), min(b + edge, 2 ** n))]
+    yield rand_net(n, seed=1900), p, codes, False
+
+
+def _profiles_of(codes, n: int) -> list:
+    return [tuple(1 if (code >> (n - 1 - j)) & 1 else -1 for j in range(n)) for code in codes]
 
 
 def test_candidate_consistency_matches_membership():
     marginal = 0
-    for net, p, codes in _consistency_cases():
+    for net, p, codes, _ in _consistency_cases():
         n = net.n
-        profiles = [tuple(1 if (code >> (n - 1 - j)) & 1 else -1 for j in range(n)) for code in codes]
+        profiles = _profiles_of(codes, n)
         kept = enumerate_equilibria(net, p)
         marginal += sum(c.marginal for c in kept)
         expected = [x for x in profiles if candidate(net, p, np.array(x)).consistent]
         # in profile order, each once, and nothing else among the checked ones
         checked = set(profiles)
         assert [tuple(c.x.tolist()) for c in kept if tuple(c.x.tolist()) in checked] == expected
-    assert marginal  # the bipartite cases reach the zero-tie path
+    assert marginal  # the bipartite cases reach the tie band
+
+
+def _exact_rule(net, p, x):
+    """The per-profile rule that the affine system replaced: the solved fixed
+    point, the discriminants there, and a tie only at exactly zero.
+    Returns (kept, marginal)."""
+    y = opinion_fixed_point(x, net, p)
+    delta = discriminants(PopulationState(actions=x, opinions=y), net, p)
+    return not np.any(x * delta < 0.0), bool(np.any(delta == 0.0))
+
+
+def _fields(c) -> tuple:
+    return (c.x.dtype, c.x.tobytes(), c.y_star.tobytes(), c.delta.tobytes(),
+            c.consistent, c.marginal)
+
+
+def test_enumeration_against_the_exact_per_profile_rule():
+    gained = 0
+    for net, p, codes, tie_heavy in _consistency_cases():
+        records = {tuple(c.x.tolist()): c for c in enumerate_equilibria(net, p)}
+        for x in _profiles_of(codes, net.n):
+            kept, marginal = _exact_rule(net, p, np.array(x))
+            record = records.get(x)
+            if kept:  # nothing the exact rule keeps is lost
+                assert record is not None, x
+            elif record is not None:  # a gain is a tie, and a Nash equilibrium
+                gained += 1
+                assert record.marginal, x
+                assert is_nash(PopulationState(actions=record.x, opinions=record.y_star),
+                               net, p).holds, x
+            if not tie_heavy:
+                assert (record is not None) == kept, x
+                assert record is None or record.marginal == marginal, x
+            if record is not None:
+                assert _fields(candidate(net, p, np.array(x))) == _fields(record), x
+    assert gained  # the tie-heavy graphs keep ties that round-off used to drop
 
 
 def test_consistent_candidates_are_nash_and_vice_versa():
