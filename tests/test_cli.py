@@ -437,8 +437,6 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         ({("network", "n"): "6.5"}, [], "[network] n must be an integer"),
         ({("network", "seed"): "1.5"}, [], "[network] seed must be an integer"),
         ({("network", "zero_diagonal"): "maybe"}, [], "zero_diagonal must be true or false"),
-        ({("network", "zero_diagonal"): "false"}, [],
-         "zero_diagonal = false needs opinion_layer = random_symmetric"),
         ({("stop", "max_steps"): "4e3"}, [], "[stop] max_steps must be an integer"),
         ({("stop", "window"): "ten"}, [], "[stop] window must be an integer"),
         ({("stop", "opinion_tol"): "nan"}, [], "opinion_tol must be positive"),
@@ -454,6 +452,9 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         # raw INI text, since _with's own ConfigParser rejects a lone "%"
         pytest.param(SMALL_RUN_INI.replace("random_symmetric", "50%"), [],
                      "unknown generator kind '50%'", id="lone-percent"),
+        pytest.param({("network", "zero_diagonal"): "false"}, [],
+                     "zero_diagonal = false needs opinion_layer = random_symmetric",
+                     id="self-loops-need-random-symmetric"),
     ],
 )
 def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):
