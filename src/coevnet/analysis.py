@@ -231,12 +231,13 @@ def potential_series(trace: Trace) -> list[float]:
     net, params = trace.net, trace.params
     x = trace.z0.actions.astype(float)
     y = trace.z0.opinions.copy()
+    x_list, y_list = x.tolist(), y.tolist()  # scalar reads, cheaper than numpy's
     eta, a, kappa = _potential_weights(net, params)
     one_sided = eta[:, None] * a
     game = one_sided + one_sided.T  # game[k, j]: weight of the pair (k, j), both sides
     social = net.W.weights + net.W.weights.T
     np.fill_diagonal(social, 0.0)
-    social_rows = social.sum(axis=1).tolist()
+    social_sums, social_rows = social.sum(axis=1).tolist(), list(social)
     kappa = kappa.tolist()
     alpha = params.alpha
 
@@ -244,16 +245,16 @@ def potential_series(trace: Trace) -> list[float]:
     series = [value]
     for _, group in trace.step_events():
         for _, k, x_new, y_new, _ in group:
-            x_old, y_old = float(x[k]), float(y[k])
+            x_old, y_old = x_list[k], y_list[k]
             if x_new != x_old:
                 pair_change = _pair_weight(x_new, x, alpha) - _pair_weight(x_old, x, alpha)
                 value -= 0.5 * float(game[k] @ pair_change)
-                x[k] = x_new
+                x[k] = x_list[k] = float(x_new)
             # sum_j s_kj [(y_new - y_j)^2 - (y_old - y_j)^2], factored
-            spread = (y_new + y_old) * social_rows[k] - 2.0 * float(social[k] @ y)
+            spread = (y_new + y_old) * social_sums[k] - 2.0 * float(social_rows[k] @ y)
             value -= 0.25 * (y_new - y_old) * spread
             value -= 0.5 * kappa[k] * ((x_new - y_new) ** 2 - (x_old - y_old) ** 2)
-            y[k] = y_new
+            y[k] = y_list[k] = y_new
         series.append(value)
     return series
 

@@ -33,12 +33,22 @@ from .netcore import (
 )
 
 DEFAULT_OPINION_TOL = 1e-10
+# Uniform-random activations drawn per generator call; numpy's bounded
+# integers give the same stream whether drawn one at a time or in blocks.
+_DRAW_BLOCK = 1024
 
 
 def action_bracket(x: np.ndarray, alpha: float) -> np.ndarray:
     """Each neighbour's contribution 2x + alpha(1 + x) to the action sum of the
     discriminant, for actions ``x`` as floats."""
     return 2.0 * x + alpha * (1.0 + x)
+
+
+def discriminant_coefficients(params: AgentParams, rows=slice(None)):
+    """The weights of agents ``rows`` on their action sum and on their opinion
+    sum in the discriminant (arrays for the default ``rows``)."""
+    lam, beta = params.lam[rows], params.beta[rows]
+    return params.eps[rows] * lam * (1.0 - beta) / 2.0, 2.0 * (1.0 - lam) * lam * beta
 
 
 def discriminant_from_sums(
@@ -53,10 +63,8 @@ def discriminant_from_sums(
     With the default ``rows`` the sums hold every agent on their last axis
     (leading batch axes broadcast); with one agent index they are scalars.
     """
-    lam, beta = params.lam[rows], params.beta[rows]
-    return (params.eps[rows] * lam * (1.0 - beta) / 2.0) * action_sum + (
-        2.0 * (1.0 - lam) * lam * beta
-    ) * opinion_sum
+    c_act, c_op = discriminant_coefficients(params, rows)
+    return c_act * action_sum + c_op * opinion_sum
 
 
 def opinion_update(opinion_sum, action, lam):
@@ -230,7 +238,8 @@ class ActivationSchedule:
         elif self.kind == "uniform_random":
             rng = np.random.default_rng(self.seed)
             while True:
-                yield frozenset((int(rng.integers(self.n)),))
+                for i in rng.integers(self.n, size=_DRAW_BLOCK).tolist():
+                    yield frozenset((i,))
         else:
             yield from self.explicit_sets
 
@@ -398,8 +407,10 @@ def simulate(
         raise ValueError("state, network, params, and schedule sizes must agree")
     _check_tie_tol(tie_tol)
 
-    a, w = net.A.weights, net.W.weights
+    # per-run constants: each agent's rows, coefficients and opinion weight
+    a_rows, w_rows = list(net.A.weights), list(net.W.weights)
     lam, alpha = params.lam.tolist(), params.alpha
+    c_act, c_op = (c.tolist() for c in discriminant_coefficients(params))
     x = z0.actions.tolist()
     y = z0.opinions.copy()
     bracket = action_bracket(z0.actions.astype(float), alpha)
@@ -410,6 +421,7 @@ def simulate(
     last_action_change = -1
     last_big_residual = -1
 
+    fixed_window = stop.window if stop.window is not None else schedule.persistence
     fallback_window = max(1, math.ceil(n * math.log(max(n, 2))))
     reason = "max_steps"
     window_used: int | None = None
@@ -425,8 +437,9 @@ def simulate(
         steps = t + 1
         updates = []
         for i in sorted(active):  # every active agent reads the pre-step state
-            opinion_sum = float(w[i] @ y)
-            delta = float(discriminant_from_sums(a[i] @ bracket, opinion_sum, params, i))
+            opinion_sum = float(w_rows[i] @ y)
+            # discriminant_from_sums with the run's coefficients: the same bits
+            delta = c_act[i] * float(a_rows[i] @ bracket) + c_op[i] * opinion_sum
             s = _sign(delta, x[i], tie_tol)
             updates.append((i, s, opinion_update(opinion_sum, s, lam[i]), delta))
         residual = 0.0
@@ -449,10 +462,8 @@ def simulate(
             span = t - next(iter(last_seen.values())) + 1
             realized_cover = span if realized_cover is None else max(realized_cover, span)
 
-        if stop.window is not None:
-            window = stop.window
-        elif schedule.persistence is not None:
-            window = schedule.persistence
+        if fixed_window is not None:
+            window = fixed_window
         else:
             if not covered:
                 continue
@@ -493,19 +504,27 @@ def simulate(
 # --- trace export ------------------------------------------------------------
 
 
-def _cell_rows(trace: Trace, x_cell, y_cell) -> Iterator[tuple[int, tuple, list, list]]:
-    """``(t, events of step t, x cells, y cells)`` for t = 0..steps.
+def _cell_rows(trace: Trace, sep: str, y_cell) -> Iterator[tuple[int, tuple, str, list]]:
+    """``(t, events of step t, action cells joined by sep, opinion cells)``
+    for t = 0..steps.
 
-    Each agent's cells are formatted once and again only when a step updates
-    that agent; the two cell lists are the same objects at every yield.
+    The actions are re-joined only in a step that flips one.  Each agent's
+    opinion cell is formatted once and again only when a step updates that
+    agent; the opinion cell list is the same object at every yield.
     """
-    x = [x_cell(v) for v in trace.z0.actions.tolist()]
+    x = trace.z0.actions.tolist()
     y = [y_cell(v) for v in trace.z0.opinions.tolist()]
-    yield 0, (), x, y
+    x_text = sep.join(map(str, x))
+    yield 0, (), x_text, y
     for t, group in trace.step_events():
+        flipped = False
         for _, i, x_i, y_i, _ in group:
-            x[i], y[i] = x_cell(x_i), y_cell(y_i)
-        yield t, group, x, y
+            if x_i != x[i]:
+                x[i], flipped = x_i, True
+            y[i] = y_cell(y_i)
+        if flipped:
+            x_text = sep.join(map(str, x))
+        yield t, group, x_text, y
 
 
 def write_trace_jsonl(trace: Trace, path: str) -> None:
@@ -516,14 +535,17 @@ def write_trace_jsonl(trace: Trace, path: str) -> None:
     keys as strings, so "10" comes before "9".
     """
 
+    ids = [str(i + 1) for i in range(trace.z0.n)]
+    keys = [f'"{i}": ' for i in ids]
+
     def lines() -> Iterator[str]:
-        for t, group, x, y in _cell_rows(trace, str, repr):
-            active = ", ".join(str(e[1] + 1) for e in group)
-            keyed = sorted((str(e[1] + 1), e[4]) for e in group)
-            delta = ", ".join(f'"{key}": {d!r}' for key, d in keyed)
+        for t, group, x, y in _cell_rows(trace, ", ", repr):
+            active = ", ".join([ids[e[1]] for e in group])
+            keyed = sorted(group, key=lambda e: ids[e[1]]) if len(group) > 1 else group
+            delta = ", ".join([keys[e[1]] + repr(e[4]) for e in keyed])
             yield (
                 f'{{"active": [{active}], "delta": {{{delta}}}, "t": {t}, '
-                f'"x": [{", ".join(x)}], "y": [{", ".join(y)}]}}'
+                f'"x": [{x}], "y": [{", ".join(y)}]}}'
             )
 
     atomic_write_lines(path, lines())
@@ -539,8 +561,8 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     n = trace.z0.n
     header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
     rows = (
-        f"{t},{','.join(x)},{','.join(y)}"
-        for t, _, x, y in _cell_rows(trace, str, lambda v: f"{v:.17g}")
+        f"{t},{x},{','.join(y)}"
+        for t, _, x, y in _cell_rows(trace, ",", lambda v: f"{v:.17g}")
     )
     atomic_write_lines(path, itertools.chain([",".join(header)], rows))
 

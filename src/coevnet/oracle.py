@@ -149,7 +149,8 @@ class AffineSystem:
 
 @dataclass(frozen=True)
 class EquilibriumCandidate:
-    """An action profile with its exact opinion fixed point.
+    """An action profile with its exact opinion fixed point, clipped to
+    [-1, 1].
 
     ``consistent`` means no agent's discriminant contradicts its action beyond
     the agent's tie band (ties impose nothing, matching the inertia rule);
@@ -164,9 +165,12 @@ class EquilibriumCandidate:
 
 
 def _records(system: AffineSystem, rows: np.ndarray, net: TwoLayerNetwork, params: AgentParams):
-    """Candidates for the profiles whose values of F are ``rows``."""
+    """Candidates for the profiles whose values of F are ``rows``.  The
+    opinions y* are clipped to [-1, 1], which round-off in S x can overshoot
+    by a few ulps, as ``PopulationState`` clips a state."""
     x, delta, y = np.split(rows, 3, axis=-1)
     _check_residual(x, y, net, params)
+    y = np.clip(y, -1.0, 1.0)
     flags = zip(system.consistent(rows).tolist(), system.marginal(rows).tolist())
     return [
         EquilibriumCandidate(x=xi, y_star=yi, delta=di, consistent=ci, marginal=mi)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from coevnet import (
     step,
     verify_persistence,
 )
-from coevnet.dynamics import read_trace_csv, read_trace_jsonl, write_trace_csv, write_trace_jsonl
+from coevnet.dynamics import (
+    _DRAW_BLOCK,
+    read_trace_csv,
+    read_trace_jsonl,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 from coevnet.genesis import (
     complete_bipartite,
     condition_rescaled,
@@ -212,6 +220,39 @@ def test_uniform_random_stream_is_replayable():
     first = [next(iter(s)) for _, s in zip(range(50), sched.iter_sets())]
     second = [next(iter(s)) for _, s in zip(range(50), sched.iter_sets())]
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [0, 7, 33003])
+def test_block_drawn_activations_equal_scalar_draws(seed):
+    # the schedule draws agents in blocks; numpy's bounded integers must give
+    # the stream of one draw per step, across block edges and integer widths
+    length = 3 * _DRAW_BLOCK + 17
+    for n in [*range(1, 71), 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1]:
+        sets = itertools.islice(ActivationSchedule.uniform_random(n, seed).iter_sets(), length)
+        rng = np.random.default_rng(seed)
+        expected = [frozenset((int(rng.integers(n)),)) for _ in range(length)]
+        assert list(sets) == expected, f"n={n}"
+
+
+def test_uniform_random_schedule_draws_per_block_not_per_step(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            calls.append(kwargs.get("size"))
+            return self.rng.integers(*args, **kwargs)
+
+    steps = 5000
+    z0, net, p = rand_state(5, default_rng(3)), rand_net(5, seed=4), uniform_params(5, 0.5, 0.5, -1)
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    trace = simulate(z0, net, p, ActivationSchedule.uniform_random(5, 9),
+                     StopCriterion(max_steps=steps, window=steps))
+    assert trace.steps == steps
+    assert len(calls) <= math.ceil(steps / _DRAW_BLOCK) + 1, f"{len(calls)} draws"
 
 
 @pytest.mark.parametrize(
@@ -526,7 +567,28 @@ def _random_trace():
                     ActivationSchedule.uniform_random(12, seed=83), StopCriterion(max_steps=400))
 
 
-@pytest.mark.parametrize("make_trace", [_edge_case_trace, _random_trace])
+def _flip_heavy_trace():
+    # two coordinating agents (1, 2) and two anti-coordinating agents (3, 4),
+    # each pair watching only its partner, with beta small enough that the
+    # actions decide: updated together, a pair swaps its actions, so it flips
+    # two agents in one step and flips them back in the next
+    n = 4
+    w = np.zeros((n, n))
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+    net = TwoLayerNetwork.single_layer(WeightedGraph(w))
+    p = AgentParams(lam=np.full(n, 0.5), beta=np.full(n, 0.05),
+                    eps=np.array([1, 1, -1, -1]), alpha=0.0)
+    z0 = PopulationState(actions=[1, -1, 1, 1], opinions=np.zeros(n))
+    sets = [{0, 1}, {0, 1}, {2, 3}, {2, 3}, {0, 1, 2, 3}, {1}, {0}, set(), {0, 1}]
+    trace = simulate(z0, net, p, ActivationSchedule.explicit(n, sets),
+                     StopCriterion(max_steps=100))
+    actions = [tuple(s.actions.tolist()) for s in trace.states]
+    assert actions[:5] == [(1, -1, 1, 1), (-1, 1, 1, 1), (1, -1, 1, 1), (1, -1, -1, -1),
+                           (1, -1, 1, 1)]
+    return trace
+
+
+@pytest.mark.parametrize("make_trace", [_edge_case_trace, _random_trace, _flip_heavy_trace])
 def test_writers_match_json_dumps_reference(tmp_path, make_trace):
     trace = make_trace()
     jsonl, csvp = tmp_path / "trace.jsonl", tmp_path / "trace.csv"
@@ -541,3 +603,24 @@ def test_writers_match_json_dumps_reference(tmp_path, make_trace):
     rows = csvp.read_text().split("\n")
     assert rows.pop() == ""
     assert rows == _reference_csv(trace)
+
+
+def test_export_memory_does_not_grow_with_trace_length(tmp_path):
+    # the writers stream the log in bounded batches, so twice as many steps
+    # must not take twice the memory
+    import tracemalloc
+
+    n, peaks = 200, []
+    for steps in (400, 800):
+        trace = simulate(initial_state("random", n, 5), rand_net(n, seed=6),
+                         uniform_params(n, 0.5, 0.5, -1), ActivationSchedule.round_robin(n),
+                         StopCriterion(max_steps=steps, window=steps))
+        assert trace.steps == steps
+        tracemalloc.start()
+        try:
+            write_trace_jsonl(trace, str(tmp_path / "trace.jsonl"))
+            write_trace_csv(trace, str(tmp_path / "trace.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], f"peak {peaks[1]} B at 800 steps vs {peaks[0]} B at 400"

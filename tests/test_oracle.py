@@ -182,6 +182,7 @@ def test_candidate_consistency_matches_membership():
         profiles = _profiles_of(codes, n)
         kept = enumerate_equilibria(net, p)
         marginal += sum(c.marginal for c in kept)
+        assert all(np.all(np.abs(c.y_star) <= 1.0) for c in kept)  # opinions in range
         expected = [x for x in profiles if candidate(net, p, np.array(x)).consistent]
         # in profile order, each once, and nothing else among the checked ones
         checked = set(profiles)
