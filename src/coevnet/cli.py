@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import math
 import os
@@ -459,7 +460,9 @@ def _add_common(parser: argparse.ArgumentParser, with_scenario: bool = True) -> 
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``coevnet`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coevnet",
         description="Coevolving actions and opinions on two-layer networks",
@@ -501,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -304,8 +304,8 @@ class StopCriterion:
             object.__setattr__(self, "window", _integer("window", self.window))
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if not self.opinion_tol > 0.0:  # also rejects NaN
-            raise ValueError("opinion_tol must be positive")
+        if not 0.0 < self.opinion_tol < math.inf:  # also rejects NaN
+            raise ValueError("opinion_tol must be positive and finite")
         if self.window is not None and not 1 <= self.window <= self.max_steps:
             raise ValueError("window must satisfy 1 <= window <= max_steps")
 

@@ -30,11 +30,14 @@ class InfeasibleConditionError(ValueError):
     """The requested (parameters, partition) admit no row-stochastic graph."""
 
 
-def _sym_sinkhorn(m: np.ndarray, target: float = 1.0) -> np.ndarray:
-    """Symmetric scaling D M D until every row sums to ``target``.
+def _sym_sinkhorn(m: np.ndarray, target: float | np.ndarray = 1.0) -> np.ndarray:
+    """Symmetric scaling D M D until every row sums to ``target``, a scalar or
+    one value per row.
 
     Preserves exact symmetry; raises when the sums cannot settle within
-    tolerance in ``_MAX_SWEEPS`` sweeps (degenerate sparsity).
+    tolerance in ``_MAX_SWEEPS`` sweeps (degenerate sparsity).  Balancing the
+    bipartite ``C + C.T`` to per-camp targets scales the block ``C`` to those
+    row and column masses.
     """
     m = np.array(m, dtype=float)
     prev = np.inf
@@ -54,27 +57,6 @@ def _sym_sinkhorn(m: np.ndarray, target: float = 1.0) -> np.ndarray:
     raise RuntimeError(
         f"symmetric normalization failed to reach tolerance {_SINKHORN_TOL:g} "
         f"within {_MAX_SWEEPS} sweeps (deviation {dev:.3e})"
-    )
-
-
-def _rect_sinkhorn(m: np.ndarray, row_target: float, col_target: float) -> np.ndarray:
-    """Alternate row/column scaling of a positive rectangular block; the
-    aggregate row and column masses must agree for convergence."""
-    m = np.array(m, dtype=float)
-    dev = np.inf
-    for _ in range(_MAX_SWEEPS):
-        m *= row_target / m.sum(axis=1, keepdims=True)
-        cols = m.sum(axis=0, keepdims=True)
-        if np.any(cols <= 0.0):
-            raise RuntimeError("rectangular normalization hit an empty column")
-        m *= col_target / cols
-        dev = float(np.max(np.abs(m.sum(axis=1) - row_target)))
-        if dev <= _SINKHORN_PLATEAU:
-            return m
-    if dev <= _SINKHORN_TOL:
-        return m
-    raise RuntimeError(
-        f"rectangular normalization failed to converge (deviation {dev:.3e})"
     )
 
 
@@ -117,11 +99,11 @@ def _blocked_symmetric(
         w[np.ix_(p_idx, p_idx)] = _sym_sinkhorn(_sym_random_block(rng, len(pos)), m_pos)
     if m_neg > 0.0:
         w[np.ix_(n_idx, n_idx)] = _sym_sinkhorn(_sym_random_block(rng, len(neg)), m_neg)
-    cross = _rect_sinkhorn(
-        0.05 + rng.random((len(pos), len(neg))), 1.0 - m_pos, 1.0 - m_neg
-    )
-    w[np.ix_(p_idx, n_idx)] = cross
-    w[np.ix_(n_idx, p_idx)] = cross.T
+    cross = np.zeros((n, n))
+    cross[np.ix_(p_idx, n_idx)] = 0.05 + rng.random((len(pos), len(neg)))
+    target = np.full(n, 1.0 - m_pos)
+    target[n_idx] = 1.0 - m_neg
+    w += _sym_sinkhorn(cross + cross.T, target)
     if float(np.max(np.abs(w.sum(axis=1) - 1.0))) > _SINKHORN_TOL:
         w = _sym_sinkhorn(w)
     return w

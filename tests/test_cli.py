@@ -175,6 +175,28 @@ def test_contour_writes_grid(tmp_path, capsys):
     assert len(lines) == 1 + 100
 
 
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    from coevnet import cli
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        for k in range(2):
+            out = str(tmp_path / f"grid{k}.csv")
+            assert main(["contour", "--function", "thm5_rhs", "--resolution", "2",
+                         "--out", out]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("coevnet") == 1
+
+
 def test_contour_rejects_bad_arguments(tmp_path, capsys):
     out = str(tmp_path / "grid.csv")
     assert main(["contour", "--function", "thm5_rhs", "--resolution", "1", "--out", out]) == 1
@@ -455,6 +477,8 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         pytest.param({("network", "zero_diagonal"): "false"}, [],
                      "zero_diagonal = false needs opinion_layer = random_symmetric",
                      id="self-loops-need-random-symmetric"),
+        pytest.param({("stop", "opinion_tol"): "inf"}, [], "opinion_tol must be positive",
+                     id="infinite-opinion-tol"),
     ],
 )
 def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):

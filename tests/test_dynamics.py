@@ -283,6 +283,12 @@ def test_non_integral_counts_and_seeds_are_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_stop_criterion_rejects_non_finite_or_non_positive_opinion_tol(tol):
+    with pytest.raises(ValueError, match="opinion_tol must be positive"):
+        StopCriterion(max_steps=10, opinion_tol=tol)
+
+
 def test_numpy_integers_are_accepted_as_python_ints():
     sched = ActivationSchedule.uniform_random(np.int64(5), np.uint32(7))
     stop = StopCriterion(max_steps=np.int32(10), window=np.int64(3))

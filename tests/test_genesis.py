@@ -8,7 +8,9 @@ from coevnet.analysis import (
     check_thm3,
     check_thm7,
 )
+from coevnet import genesis
 from coevnet.genesis import (
+    _SINKHORN_TOL,
     GenSpec,
     InfeasibleConditionError,
     build_graph,
@@ -17,6 +19,7 @@ from coevnet.genesis import (
     initial_state,
     random_symmetric_stochastic,
 )
+from coevnet.genesis import _sym_sinkhorn
 
 from conftest import uniform_params
 
@@ -165,6 +168,73 @@ def test_bipartite_satisfies_partition_invariance_condition():
 def test_bipartite_rejects_unbalanced_camps():
     with pytest.raises(ValueError, match="equally sized"):
         complete_bipartite(((0, 1, 2), (3, 4)), seed=5)
+
+
+# --- the one balancer on bipartite blocks ---------------------------------------------
+
+
+def _rect_sinkhorn_reference(m, row_target, col_target):
+    """Alternating row/column scaling of a positive rectangular block to row
+    masses ``row_target`` and column masses ``col_target``: an independent
+    reference for balancing the bipartite ``C + C.T``."""
+    m = np.array(m, dtype=float)
+    dev = np.inf
+    for _ in range(10_000):
+        m *= row_target / m.sum(axis=1, keepdims=True)
+        m *= col_target / m.sum(axis=0, keepdims=True)
+        dev = float(np.max(np.abs(m.sum(axis=1) - row_target)))
+        if dev <= 1e-13:
+            return m
+    if dev <= _SINKHORN_TOL:
+        return m
+    raise RuntimeError(f"rectangular reference failed to converge (deviation {dev:.3e})")
+
+
+def _bipartite(cross):
+    """The symmetric matrix [[0, C], [C^T, 0]]."""
+    p, q = cross.shape
+    m = np.zeros((p + q, p + q))
+    m[:p, p:] = cross
+    return m + m.T
+
+
+@pytest.mark.parametrize(
+    "p,q,m_pos",
+    [(1, 1, 0.0), (2, 2, 0.0), (15, 15, 0.0), (50, 50, 0.0),
+     (3, 5, 0.4), (4, 6, 0.3), (2, 8, 0.2)],
+)
+def test_balancer_on_a_bipartite_block_matches_the_rectangular_reference(p, q, m_pos):
+    # balanced camp masses: q (1 - m_neg) = p (1 - m_pos)
+    row_target = 1.0 - m_pos
+    col_target = (p / q) * row_target
+    target = np.concatenate([np.full(p, row_target), np.full(q, col_target)])
+    rng = np.random.default_rng(100 * p + q)
+    for _ in range(3):
+        cross = 0.05 + rng.random((p, q))
+        w = _sym_sinkhorn(_bipartite(cross), target)
+        assert np.array_equal(w, w.T)
+        assert np.max(np.abs(w.sum(axis=1) - target)) <= _SINKHORN_TOL
+        assert np.all(w[:p, :p] == 0.0) and np.all(w[p:, p:] == 0.0)
+        reference = _rect_sinkhorn_reference(cross, row_target, col_target)
+        assert np.max(np.abs(w[:p, p:] - reference)) <= 1e-12
+
+
+def test_balancer_rejects_an_empty_bipartite_row_at_once(monkeypatch):
+    cross = 0.05 + np.random.default_rng(4).random((3, 5))
+    cross[1] = 0.0
+    target = np.concatenate([np.full(3, 0.6), np.full(5, 0.36)])
+    # one sweep is enough to see the empty row, before any scaling
+    monkeypatch.setattr(genesis, "_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="symmetric normalization hit an empty row"):
+        _sym_sinkhorn(_bipartite(cross), target)
+
+
+def test_balancer_reports_the_deviation_when_it_cannot_converge(monkeypatch):
+    # camps of 2 and 3 cannot both reach unit row sums on cross edges alone
+    cross = 0.05 + np.random.default_rng(5).random((2, 3))
+    monkeypatch.setattr(genesis, "_MAX_SWEEPS", 50)
+    with pytest.raises(RuntimeError, match=r"within 50 sweeps \(deviation \d\.\d{3}e[-+]\d+\)"):
+        _sym_sinkhorn(_bipartite(cross), 1.0)
 
 
 # --- initial states -----------------------------------------------------------------------
