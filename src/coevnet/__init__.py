@@ -15,7 +15,6 @@ from .netcore import (
     load_network,
     partition_state,
     save_network,
-    validate_network,
 )
 from .dynamics import (
     ActivationSchedule,

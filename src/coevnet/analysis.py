@@ -26,6 +26,7 @@ from .netcore import (
     check_partition,
     classify_state,
     partition_state,
+    within_mass,
 )
 
 NASH_TOL = 1e-10
@@ -345,14 +346,6 @@ def _prerequisites(
     return reasons
 
 
-def _within_mass(w: np.ndarray, members) -> dict:
-    """Weight each member keeps inside ``members``, keyed by agent in order."""
-    idx = np.fromiter(sorted(members), dtype=int)
-    cols = np.zeros(w.shape[0], dtype=bool)
-    cols[idx] = True
-    return {int(i): float(w[i, cols].sum()) for i in idx}
-
-
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
@@ -378,7 +371,7 @@ def _camp_rows(
     rows = []
     for camp, tag, bounds in zip(camps, ("pos", "neg"), (pos_bounds, neg_bounds or pos_bounds)):
         tagged = tuple((f"{tag}_{name}", rhs, sense) for name, rhs, sense in bounds)
-        rows += _rows(_within_mass(net.W.weights, camp), tagged)
+        rows += _rows(within_mass(camp, net.W), tagged)
     return tuple(rows)
 
 
@@ -425,7 +418,7 @@ def check_thm2(
             continue
         ratios = {
             i: mass / float(net.A.weights[i].sum())
-            for i, mass in _within_mass(net.A.weights, camp).items()
+            for i, mass in within_mass(camp, net.A).items()
         }
         rows += _rows(ratios, (bound,))
     return TheoremReport("thm2", True, tuple(rows), tuple(notes))
@@ -511,19 +504,13 @@ class PartitionDegrees:
     d_n_min: float
     d_n_max: float
 
-    def __post_init__(self) -> None:
-        for lo, hi in ((self.d_p_min, self.d_p_max), (self.d_n_min, self.d_n_max)):
-            if not (0.0 <= lo <= hi <= 1.0 + 1e-9):
-                raise ValueError("degrees must satisfy 0 <= min <= max <= 1")
-
 
 def partition_degrees(
     partition: tuple, net: TwoLayerNetwork
 ) -> PartitionDegrees:
     pos, neg = check_partition(partition, net.n)
-    w = net.W.weights
-    p_mass = list(_within_mass(w, pos).values())
-    n_mass = list(_within_mass(w, neg).values())
+    p_mass = list(within_mass(pos, net.W).values())
+    n_mass = list(within_mass(neg, net.W).values())
     return PartitionDegrees(
         d_p_min=min(p_mass), d_p_max=max(p_mass),
         d_n_min=min(n_mass), d_n_max=max(n_mass),

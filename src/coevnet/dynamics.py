@@ -17,7 +17,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -29,6 +28,7 @@ from .netcore import (
     PopulationState,
     TwoLayerNetwork,
     atomic_write_lines,
+    check_integer,
     clip_opinion,
 )
 
@@ -103,17 +103,6 @@ def discriminant(
     if not 0 <= i < z.n:
         raise IndexError(f"agent index {i} out of range for n={z.n}")
     return float(discriminants(z, net, params, (i,))[0])
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: Python and numpy integers pass, anything
-    else (floats, bools, strings) is rejected rather than truncated."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -195,9 +184,9 @@ class ActivationSchedule:
     persistence: int | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "n", check_integer("n", self.n))
         if self.seed is not None:
-            object.__setattr__(self, "seed", _integer("seed", self.seed))
+            object.__setattr__(self, "seed", check_integer("seed", self.seed))
         if self.n < 1:
             raise ValueError("schedule needs at least one agent")
         if self.kind == "round_robin":
@@ -206,7 +195,7 @@ class ActivationSchedule:
             if self.seed is None or self.seed < 0:
                 raise ValueError("uniform_random schedule needs a non-negative seed")
         elif self.kind == "explicit":
-            sets = tuple(frozenset(_integer("agent", i) for i in s) for s in self.explicit_sets)
+            sets = tuple(frozenset(check_integer("agent", i) for i in s) for s in self.explicit_sets)
             if not sets:
                 raise ValueError("explicit schedule needs at least one step")
             if any(i < 0 or i >= self.n for s in sets for i in s):
@@ -299,9 +288,9 @@ class StopCriterion:
     window: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps))
+        object.__setattr__(self, "max_steps", check_integer("max_steps", self.max_steps))
         if self.window is not None:
-            object.__setattr__(self, "window", _integer("window", self.window))
+            object.__setattr__(self, "window", check_integer("window", self.window))
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if not 0.0 < self.opinion_tol < math.inf:  # also rejects NaN

@@ -1,6 +1,6 @@
 """Core data model: weighted influence graphs, two-layer networks, agent
 parameters, joint action/opinion states, alignment partitions, and the
-cohesiveness measure on which every checker builds.
+within-set mass and cohesiveness measures on which every checker builds.
 
 All types are immutable after construction and safe to share across threads.
 Agents are indexed 0..n-1 in code; file formats and CLI output use 1..n.
@@ -8,6 +8,7 @@ Agents are indexed 0..n-1 in code; file formats and CLI output use 1..n.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 from collections import Counter
@@ -29,14 +30,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Dense non-negative influence matrix; entry (i, j) weighs j's influence on i.
+    """Dense row-stochastic influence matrix; entry (i, j) weighs j's influence on i.
 
+    Every entry is finite and non-negative and every row sums to 1 within
+    ``ROW_SUM_TOL``; this is checked here, once, and relied on everywhere else.
     ``symmetric`` is derived at construction and true only for bitwise equality
     of the matrix with its transpose, so a True flag is an exact guarantee.
     """
 
     weights: np.ndarray
-    row_stochastic: bool = True
     symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -47,21 +49,17 @@ class WeightedGraph:
             raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("weights must be non-negative")
-        if self.row_stochastic:
-            dev = np.max(np.abs(w.sum(axis=1) - 1.0))
-            if dev > ROW_SUM_TOL:
-                raise ValueError(
-                    f"rows must sum to 1 within {ROW_SUM_TOL:g}; worst deviation {dev:.3e}"
-                )
+        dev = np.max(np.abs(w.sum(axis=1) - 1.0))
+        if dev > ROW_SUM_TOL:
+            raise ValueError(
+                f"rows must sum to 1 within {ROW_SUM_TOL:g}; worst deviation {dev:.3e}"
+            )
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "symmetric", bool(np.array_equal(w, w.T)))
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,6 @@ class TwoLayerNetwork:
     def __post_init__(self) -> None:
         if self.A.n != self.W.n:
             raise ValueError("both layers must share the node set")
-        if not (self.A.row_stochastic and self.W.row_stochastic):
-            raise ValueError("both layers must be row-stochastic")
         loops = np.flatnonzero(np.diag(self.A.weights))
         if loops.size:
             raise ValueError(
@@ -233,10 +229,21 @@ class Partition:
         return self.pos_aligned, self.neg_aligned
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, anything
+    else (floats, bools, strings) is rejected rather than truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_partition(partition: tuple, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Validate a two-camp split of 0..n-1 and return both camps sorted."""
-    pos = tuple(sorted(int(i) for i in partition[0]))
-    neg = tuple(sorted(int(i) for i in partition[1]))
+    pos = tuple(sorted(check_integer("agent", i) for i in partition[0]))
+    neg = tuple(sorted(check_integer("agent", i) for i in partition[1]))
     if not pos or not neg:
         raise ValueError("both partition sides must be nonempty")
     if set(pos) & set(neg) or set(pos) | set(neg) != set(range(n)):
@@ -257,21 +264,26 @@ def partition_state(z: PopulationState) -> Partition:
     )
 
 
-def _set_ratios(members: Iterable[int], graph: WeightedGraph) -> np.ndarray:
-    idx = np.fromiter(sorted(set(members)), dtype=int, count=-1)
-    n = graph.n
-    if idx.size == 0:
-        raise ValueError("set must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= n):
+def within_mass(members: Iterable[int], graph: WeightedGraph) -> dict[int, float]:
+    """Weight each member keeps inside ``members``, keyed by agent in
+    ascending order; members are integer agent ids in 0..n-1."""
+    idx = sorted({check_integer("agent", i) for i in members})
+    if idx and not (idx[0] >= 0 and idx[-1] < graph.n):
         raise ValueError("set members out of range")
-    if idx.size == n:
+    inside = np.zeros(graph.n, dtype=bool)
+    inside[idx] = True
+    w = graph.weights
+    return {i: float(w[i, inside].sum()) for i in idx}
+
+
+def _set_ratios(members: Iterable[int], graph: WeightedGraph) -> list[float]:
+    masses = within_mass(members, graph)
+    if not masses:
+        raise ValueError("set must be nonempty")
+    if len(masses) == graph.n:
         raise ValueError("set must be a strict subset of the node set")
     w = graph.weights
-    totals = w[idx].sum(axis=1)
-    if np.any(totals == 0.0):
-        raise ValueError("every member needs positive total out-weight")
-    inside = w[np.ix_(idx, idx)].sum(axis=1)
-    return inside / totals
+    return [mass / float(w[i].sum()) for i, mass in masses.items()]
 
 
 def cohesiveness(members: Iterable[int], graph: WeightedGraph) -> float:
@@ -279,7 +291,7 @@ def cohesiveness(members: Iterable[int], graph: WeightedGraph) -> float:
 
     The set is q-cohesive exactly when the returned value is >= q.
     """
-    return float(_set_ratios(members, graph).min())
+    return min(_set_ratios(members, graph))
 
 
 def diffusiveness(members: Iterable[int], graph: WeightedGraph) -> float:
@@ -287,7 +299,7 @@ def diffusiveness(members: Iterable[int], graph: WeightedGraph) -> float:
 
     The set is q-diffusive exactly when the returned value is < q.
     """
-    return float(_set_ratios(members, graph).max())
+    return max(_set_ratios(members, graph))
 
 
 @dataclass(frozen=True)
@@ -321,50 +333,6 @@ def classify_state(z: PopulationState) -> Classification:
             partition=(tuple(sorted(pos)), tuple(sorted(neg))),
         )
     return Classification(kind="mixed")
-
-
-@dataclass(frozen=True)
-class LayerValidation:
-    name: str
-    n: int
-    max_row_sum_deviation: float
-    min_entry: float
-    max_asymmetry: float
-
-    @property
-    def valid(self) -> bool:
-        return self.min_entry >= 0.0 and self.max_row_sum_deviation <= ROW_SUM_TOL
-
-    @property
-    def symmetric(self) -> bool:
-        return self.max_asymmetry == 0.0
-
-
-@dataclass(frozen=True)
-class NetworkValidation:
-    layers: tuple[LayerValidation, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(layer.valid for layer in self.layers)
-
-
-def _validate_layer(name: str, graph: WeightedGraph) -> LayerValidation:
-    w = graph.weights
-    return LayerValidation(
-        name=name,
-        n=graph.n,
-        max_row_sum_deviation=float(np.max(np.abs(w.sum(axis=1) - 1.0))),
-        min_entry=float(w.min()),
-        max_asymmetry=float(np.max(np.abs(w - w.T))),
-    )
-
-
-def validate_network(net: TwoLayerNetwork) -> NetworkValidation:
-    """Pure report of row-sum deviations, negativity, and asymmetry per layer."""
-    return NetworkValidation(
-        layers=(_validate_layer("A", net.A), _validate_layer("W", net.W))
-    )
 
 
 # --- network file format -----------------------------------------------------

@@ -216,6 +216,28 @@ def test_generate_roundtrip(tmp_path, capsys):
     assert net.n == 6 and net.A.symmetric
 
 
+def test_generate_json_reports_the_symmetry_of_both_layers(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.ini", _with({("network", "opinion_layer"): "random_symmetric"}))
+    out = str(tmp_path / "net.txt")
+    assert main(["generate", "--config", cfg, "--out", out, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is True and payload["symmetric"] == [True, True]
+    net = load_network(out)
+    assert not net.same_layers() and net.A.symmetric and net.W.symmetric
+
+
+def test_memory_error_from_the_generator_exits_1(tmp_path, capsys, monkeypatch):
+    def refuse(spec, params=None):
+        raise MemoryError("Unable to allocate the n x n weights")
+
+    monkeypatch.setattr("coevnet.genesis.build_graph", refuse)
+    cfg = _write(tmp_path, "cfg.ini", SMALL_RUN_INI)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "net.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [network] n is too large")
+    assert "Traceback" not in err
+
+
 # --- montecarlo -----------------------------------------------------------------
 
 
@@ -479,6 +501,9 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
                      id="self-loops-need-random-symmetric"),
         pytest.param({("stop", "opinion_tol"): "inf"}, [], "opinion_tol must be positive",
                      id="infinite-opinion-tol"),
+        # 10^17 agents: one parameter vector alone (800 PB) is refused at once
+        pytest.param({("network", "n"): str(10**17)}, [], "[network] n is too large",
+                     id="oversized-n"),
     ],
 )
 def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):

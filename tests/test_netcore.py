@@ -12,8 +12,8 @@ from coevnet import (
     load_network,
     partition_state,
     save_network,
-    validate_network,
 )
+from coevnet.netcore import check_partition, within_mass
 from coevnet.genesis import complete_bipartite
 
 from conftest import rand_net, rand_state
@@ -24,33 +24,26 @@ from conftest import rand_net, rand_state
 
 def test_permutation_matrix_is_valid_symmetric_stochastic():
     g = WeightedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    report = validate_network(TwoLayerNetwork.single_layer(g))
-    assert report.valid
-    assert all(layer.symmetric for layer in report.layers)
+    assert np.array_equal(g.weights.sum(axis=1), [1.0, 1.0])
     assert g.symmetric
 
 
 def test_row_sum_violation_rejected_and_reported():
-    from coevnet.netcore import _validate_layer
-
     bad = np.array([[0.0, 0.9], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="rows must sum to 1"):
+    with pytest.raises(ValueError, match="rows must sum to 1 within 1e-12; worst deviation 1.000e-01"):
         WeightedGraph(bad)
-    layer = _validate_layer("W", WeightedGraph(bad, row_stochastic=False))
-    assert not layer.valid
-    assert layer.max_row_sum_deviation == pytest.approx(0.1)
 
 
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="non-negative"):
-        WeightedGraph(np.array([[0.0, 1.0], [1.5, -0.5]]), row_stochastic=False)
+        WeightedGraph(np.array([[0.0, 1.0], [1.5, -0.5]]))
 
 
 def test_bipartite_30_node_generator_output_is_valid():
     part = (tuple(range(15)), tuple(range(15, 30)))
     g = complete_bipartite(part, seed=5)
-    report = validate_network(TwoLayerNetwork.single_layer(g))
-    assert report.valid
+    assert np.max(np.abs(g.weights.sum(axis=1) - 1.0)) <= 1e-12
+    assert g.weights.min() >= 0.0
     assert g.symmetric
 
 
@@ -59,7 +52,7 @@ def test_symmetric_flag_is_exact():
     assert WeightedGraph(m).symmetric
     m2 = m.copy()
     m2[0, 1] = np.nextafter(0.6, 0.0)  # one ulp of asymmetry breaks the flag
-    assert not WeightedGraph(m2, row_stochastic=False).symmetric
+    assert not WeightedGraph(m2).symmetric
 
 
 def test_layer_size_mismatch_rejected():
@@ -214,9 +207,8 @@ def test_cohesiveness_errors():
         cohesiveness([], g)
     with pytest.raises(ValueError, match="strict subset"):
         cohesiveness([0, 1], g)
-    zero_row = WeightedGraph(np.array([[0.0, 0.0], [1.0, 0.0]]), row_stochastic=False)
-    with pytest.raises(ValueError, match="positive total"):
-        cohesiveness([0], zero_row)
+    with pytest.raises(ValueError, match="out of range"):
+        cohesiveness([2], g)
 
 
 def test_cohesiveness_monotone_under_within_set_weight():
@@ -224,14 +216,51 @@ def test_cohesiveness_monotone_under_within_set_weight():
     for _ in range(200):
         n = int(rng.integers(3, 7))
         w = rng.random((n, n)) + 0.05
+        w /= w.sum(axis=1, keepdims=True)  # rows normalized first
         members = sorted(rng.choice(n, size=2, replace=False).tolist())
-        before = cohesiveness(members, WeightedGraph(w, row_stochastic=False))
+        before = cohesiveness(members, WeightedGraph(w))
         i, j = members[0], members[1]
         w2 = w.copy()
         w2[i, j] += rng.random() * 2.0
         w2[i] /= w2[i].sum()  # renormalize the bumped row
-        after = cohesiveness(members, WeightedGraph(w2, row_stochastic=False))
+        after = cohesiveness(members, WeightedGraph(w2))
         assert after >= before - 1e-12
+
+
+def test_within_mass_is_the_literal_within_set_row_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        w = rng.random((n, n))
+        w /= w.sum(axis=1, keepdims=True)
+        g = WeightedGraph(w)
+        members = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        masses = within_mass(members, g)
+        assert list(masses) == members
+        # the same bits as the row sums of the within-set block
+        assert list(masses.values()) == w[np.ix_(members, members)].sum(axis=1).tolist()
+        for i in members:
+            assert masses[i] == pytest.approx(sum(w[i][j] for j in members), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("agent", [1.9, 1.0, True, np.float64(1.0), np.bool_(True), "1"])
+def test_agent_ids_must_be_integers(agent):
+    g = WeightedGraph(np.full((4, 4), 0.25))
+    with pytest.raises(ValueError, match="agent must be an integer"):
+        check_partition(((0, agent), (2, 3)), 4)
+    with pytest.raises(ValueError, match="agent must be an integer"):
+        cohesiveness([0, agent], g)
+    with pytest.raises(ValueError, match="agent must be an integer"):
+        diffusiveness([0, agent], g)
+
+
+def test_numpy_integer_agent_ids_are_accepted():
+    g = WeightedGraph(np.full((4, 4), 0.25))
+    pos, neg = check_partition((np.array([1, 0]), (np.int64(3), np.int32(2))), 4)
+    assert (pos, neg) == ((0, 1), (2, 3))
+    assert all(type(i) is int for i in pos + neg)
+    assert cohesiveness(np.array([0, 1]), g) == cohesiveness([0, 1], g) == 0.5
+    assert diffusiveness((np.int8(2),), g) == 0.25
 
 
 # --- classify_state -----------------------------------------------------------------
