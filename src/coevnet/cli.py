@@ -3,10 +3,11 @@ checks, equilibrium enumeration, contour grids, network generation, and
 Monte-Carlo basin sweeps.
 
 Configuration is an INI file with sections [network], [params], [initial],
-[schedule], [stop], [output]; every value can also come from a bundled
-scenario preset (example3, example4, example5) and the master ``--seed``
-overrides all component seeds.  Exit codes for ``check``: 0 holds, 2 fails,
-3 not applicable; other commands exit 0 on success and 1 on invalid input.
+[schedule], [stop], [output] (any other section or key is rejected); every
+value can also come from a bundled scenario preset (example3, example4,
+example5) and the master ``--seed`` overrides all component seeds.  Exit
+codes for ``check``: 0 holds, 2 fails, 3 not applicable; other commands exit
+0 on success and 1 on invalid input.
 """
 from __future__ import annotations
 
@@ -77,6 +78,18 @@ _PRESETS = {
 }
 
 
+# Every key each section accepts; anything else in a config is an error.
+_KEYS = {
+    "network": {"source", "path", "kind", "theorem", "n", "split", "seed",
+                "zero_diagonal", "uniform", "opinion_layer"},
+    "params": {"lambda", "beta", "epsilon", "alpha"},
+    "initial": {"kind", "seed"},
+    "schedule": {"kind", "seed"},
+    "stop": {"max_steps", "opinion_tol", "window"},
+    "output": {"dir"},
+}
+
+
 def _read_config(path: str | None, preset: str | None) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(interpolation=None)
     if preset is not None:
@@ -93,6 +106,14 @@ def _read_config(path: str | None, preset: str | None) -> configparser.ConfigPar
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if preset is None and path is None:
         raise ConfigError("either --config or --reproduce is required")
+    if cfg.defaults():
+        raise ConfigError(f"unknown section [{cfg.default_section}]")
+    for section in cfg.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cfg[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
     return cfg
 
 
@@ -208,8 +229,8 @@ def _build_network(
 
 
 def _build_scenario(args) -> Scenario:
-    cfg = _read_config(getattr(args, "config", None), getattr(args, "reproduce", None))
-    seeds = _derived_seeds(getattr(args, "seed", None))
+    cfg = _read_config(args.config, args.reproduce)
+    seeds = _derived_seeds(args.seed)
     try:
         net, params, split = _build_network(cfg, seeds)
     except MemoryError:  # numpy refuses at once an array larger than memory
@@ -246,7 +267,7 @@ def _build_scenario(args) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"invalid [stop]: {exc}") from exc
 
-    outdir = getattr(args, "out", None) or cfg.get("output", "dir", fallback=None)
+    outdir = args.out or cfg.get("output", "dir", fallback=None)
     return Scenario(
         net=net, params=params, z0=z0, schedule=schedule, stop=stop,
         partition=partition, initial_kind=initial_kind, initial_seed=initial_seed,
@@ -369,6 +390,10 @@ def cmd_contour(args) -> int:
         lines = analysis.contour_csv_lines(args.function, grid, grid)
     except ValueError as exc:  # resolution below 2 or unknown function id
         raise ConfigError(str(exc)) from exc
+    except MemoryError:  # numpy refuses at once a grid larger than memory
+        raise ConfigError(
+            f"--resolution {args.resolution} is too large: the grid does not fit in memory"
+        ) from None
     with _writing(args.out):
         netcore.atomic_write_lines(args.out, lines)
     _emit({"function": args.function, "resolution": args.resolution, "path": args.out},
@@ -392,8 +417,6 @@ def cmd_generate(args) -> int:
 
 
 def _wilson(successes: int, samples: int) -> tuple:
-    if samples == 0:
-        return (0.0, 1.0)
     p = successes / samples
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / samples
@@ -453,10 +476,9 @@ def cmd_montecarlo(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, with_scenario: bool = True) -> None:
-    if with_scenario:
-        parser.add_argument("--config", help="INI scenario file")
-        parser.add_argument("--reproduce", help="bundled scenario preset (example3|example4|example5)")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="INI scenario file")
+    parser.add_argument("--reproduce", help="bundled scenario preset (example3|example4|example5)")
     parser.add_argument("--seed", type=int, help="master seed overriding all component seeds")
     parser.add_argument("--out", help="output directory or file")
     parser.add_argument("--json", action="store_true", help="machine-readable stdout")

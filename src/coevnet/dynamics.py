@@ -57,8 +57,8 @@ def discriminant_from_sums(
     params: AgentParams,
     rows=slice(None),
 ) -> np.ndarray:
-    """Discriminant of agents ``rows`` from their neighbourhood sums
-    ``A[i] @ action_bracket(x)`` and ``W[i] @ y``.
+    """Discriminant of agents ``rows`` from their neighbourhood sums, the row
+    products of ``A[i]`` with ``action_bracket(x)`` and of ``W[i]`` with ``y``.
 
     With the default ``rows`` the sums hold every agent on their last axis
     (leading batch axes broadcast); with one agent index they are scalars.
@@ -68,9 +68,17 @@ def discriminant_from_sums(
 
 
 def opinion_update(opinion_sum, action, lam):
-    """Opinion an agent adopts from its neighbourhood opinion sum ``W[i] @ y``
-    and its action: (1 - lam) W[i] @ y + lam x_i.  Elementwise over arrays."""
+    """Opinion an agent adopts from its neighbourhood opinion sum (row ``W[i]``
+    times ``y``) and its action: (1 - lam) W[i] y + lam x_i.  Elementwise."""
     return (1.0 - lam) * opinion_sum + lam * action
+
+
+def _sums(z: PopulationState, net: TwoLayerNetwork, alpha: float, rows) -> np.ndarray:
+    """Action and opinion sums of agents ``rows``, shape (agents, 2): one
+    ``np.vecdot`` of each agent's stacked ``(A[i], W[i])`` rows with
+    ``(action_bracket(x), y)``, the reduction every step evaluates."""
+    state = np.stack((action_bracket(z.actions.astype(float), alpha), z.opinions))
+    return np.vecdot(np.stack((net.A.weights[rows], net.W.weights[rows]), axis=1), state)
 
 
 def discriminants(
@@ -82,18 +90,12 @@ def discriminants(
     """Discriminant of every agent at state ``z``, or of ``agents`` in order.
 
     Positive favours action +1, negative favours -1, zero triggers inertia.
-    The full form uses whole-matrix products; a selection uses one row dot
-    per agent, which is what the simulation steps evaluate (the two differ in
-    the last bits).
+    Every agent's value has the bits the simulation steps compute, so the
+    full form and any selection agree exactly.
     """
-    bracket = action_bracket(z.actions.astype(float), params.alpha)
-    a, w = net.A.weights, net.W.weights
-    if agents is None:
-        return discriminant_from_sums(a @ bracket, w @ z.opinions, params)
-    return np.array(
-        [discriminant_from_sums(a[i] @ bracket, w[i] @ z.opinions, params, i) for i in agents],
-        dtype=float,
-    )
+    rows = slice(None) if agents is None else list(agents)
+    sums = _sums(z, net, params.alpha, rows)
+    return discriminant_from_sums(sums[:, 0], sums[:, 1], params, rows)
 
 
 def discriminant(
@@ -125,23 +127,6 @@ def sign_with_inertia(delta: float, x_current: int, tie_tol: float = 0.0) -> int
     return _sign(delta, x_current, tie_tol)
 
 
-def _update(
-    z: PopulationState,
-    idx: list,
-    net: TwoLayerNetwork,
-    params: AgentParams,
-    tie_tol: float,
-) -> tuple[PopulationState, dict]:
-    x_new = z.actions.copy()
-    y_new = z.opinions.copy()
-    deltas = dict(zip(idx, discriminants(z, net, params, idx).tolist()))
-    for i, delta in deltas.items():
-        s = sign_with_inertia(delta, int(z.actions[i]), tie_tol)
-        x_new[i] = s
-        y_new[i] = opinion_update(float(net.W.weights[i] @ z.opinions), s, params.lam[i])
-    return PopulationState(actions=x_new, opinions=y_new), deltas
-
-
 def step(
     z: PopulationState,
     active: Iterable[int],
@@ -160,8 +145,15 @@ def step(
         raise IndexError("active set out of range")
     if not idx:
         return z
-    z_next, _ = _update(z, idx, net, params, tie_tol)
-    return z_next
+    x_new = z.actions.copy()
+    y_new = z.opinions.copy()
+    sums = _sums(z, net, params.alpha, idx)
+    deltas = discriminant_from_sums(sums[:, 0], sums[:, 1], params, idx)
+    for i, delta, opinion_sum in zip(idx, deltas.tolist(), sums[:, 1].tolist()):
+        s = sign_with_inertia(delta, int(z.actions[i]), tie_tol)
+        x_new[i] = s
+        y_new[i] = opinion_update(opinion_sum, s, params.lam[i])
+    return PopulationState(actions=x_new, opinions=y_new)
 
 
 # --- activation schedules ----------------------------------------------------
@@ -396,13 +388,14 @@ def simulate(
         raise ValueError("state, network, params, and schedule sizes must agree")
     _check_tie_tol(tie_tol)
 
-    # per-run constants: each agent's rows, coefficients and opinion weight
-    a_rows, w_rows = list(net.A.weights), list(net.W.weights)
+    # per-run constants: each agent's stacked (A[i], W[i]) rows, coefficients
+    # and opinion weight; bracket and y are in-place views of one (2, n) state
+    rows = list(np.stack((net.A.weights, net.W.weights), axis=1))
     lam, alpha = params.lam.tolist(), params.alpha
     c_act, c_op = (c.tolist() for c in discriminant_coefficients(params))
     x = z0.actions.tolist()
-    y = z0.opinions.copy()
-    bracket = action_bracket(z0.actions.astype(float), alpha)
+    state = np.stack((action_bracket(z0.actions.astype(float), alpha), z0.opinions))
+    bracket, y = state
     events: list[tuple[int, int, int, float, float]] = []
 
     last_seen: dict[int, int] = {}  # agent -> last active step, least recent first
@@ -426,9 +419,9 @@ def simulate(
         steps = t + 1
         updates = []
         for i in sorted(active):  # every active agent reads the pre-step state
-            opinion_sum = float(w_rows[i] @ y)
+            action_sum, opinion_sum = np.vecdot(rows[i], state).tolist()
             # discriminant_from_sums with the run's coefficients: the same bits
-            delta = c_act[i] * float(a_rows[i] @ bracket) + c_op[i] * opinion_sum
+            delta = c_act[i] * action_sum + c_op[i] * opinion_sum
             s = _sign(delta, x[i], tie_tol)
             updates.append((i, s, opinion_update(opinion_sum, s, lam[i]), delta))
         residual = 0.0

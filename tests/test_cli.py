@@ -203,6 +203,16 @@ def test_contour_rejects_bad_arguments(tmp_path, capsys):
     assert main(["contour", "--function", "bogus", "--resolution", "5", "--out", out]) == 1
 
 
+def test_contour_resolution_too_large_for_memory_exits_1(tmp_path, capsys):
+    # a 10^6 x 10^6 grid (7.3 TiB) is refused at once
+    out = str(tmp_path / "grid.csv")
+    argv = ["contour", "--function", "thm5_rhs", "--resolution", str(10**6), "--out", out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --resolution 1000000 is too large")
+    assert "Traceback" not in err
+
+
 # --- generate -------------------------------------------------------------------
 
 
@@ -504,6 +514,19 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
         # 10^17 agents: one parameter vector alone (800 PB) is refused at once
         pytest.param({("network", "n"): str(10**17)}, [], "[network] n is too large",
                      id="oversized-n"),
+        pytest.param({("network", "sed"): "5"}, [], "unknown key [network] sed",
+                     id="unknown-network-key"),
+        pytest.param({("params", "lamda"): "0.9"}, [], "unknown key [params] lamda",
+                     id="unknown-params-key"),
+        pytest.param({("stop", "max_step"): "5"}, [], "unknown key [stop] max_step",
+                     id="unknown-stop-key"),
+        pytest.param(SMALL_RUN_INI + "\n[schedual]\nkind = round_robin\n", [],
+                     "unknown section [schedual]", id="unknown-section"),
+        pytest.param("[DEFAULT]\nseed = 5\n" + SMALL_RUN_INI, [],
+                     "unknown section [DEFAULT]", id="default-section"),
+        # the preset and the file are checked together
+        pytest.param("[stop]\nmax_step = 5\n", ["--reproduce", "example4"],
+                     "unknown key [stop] max_step", id="unknown-key-over-preset"),
     ],
 )
 def test_rejected_config_values_exit_1(tmp_path, capsys, overrides, extra, message):

@@ -95,9 +95,10 @@ def test_selected_discriminants_match_single_agent_and_full_form():
         z = rand_state(n, rng)
         agents = rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist()
         selected = discriminants(z, net, p, agents)
-        # the selection is row by row, bitwise equal to the single-agent form
+        # one reduction for every form: bitwise equal to the single-agent and
+        # the full form
         assert selected.tolist() == [discriminant(i, z, net, p) for i in agents]
-        assert selected == pytest.approx(discriminants(z, net, p)[agents], abs=1e-14)
+        assert selected.tolist() == discriminants(z, net, p)[agents].tolist()
     assert discriminants(z, net, p, []).shape == (0,)
 
 
@@ -109,8 +110,29 @@ def test_trace_deltas_are_selected_discriminants():
                      StopCriterion(max_steps=200))
     for t, deltas in enumerate(trace.deltas):
         agents = sorted(deltas)
-        expected = discriminants(trace.states[t], net, p, agents).tolist()
-        assert [deltas[i] for i in agents] == expected
+        logged = [deltas[i] for i in agents]
+        assert logged == discriminants(trace.states[t], net, p, agents).tolist()
+        assert logged == discriminants(trace.states[t], net, p)[agents].tolist()
+
+
+@pytest.mark.parametrize("n", [*range(2, 80), 100, 128, 129, 300, 513, 1000])
+def test_vecdot_over_stacked_rows_equals_each_row_product(n):
+    # dynamics reduces every row with np.vecdot over stacked (A[i], W[i]) pairs;
+    # its bits must equal the plain per-row product A[i] @ v, for the whole
+    # population, a gathered selection, and a batch of replica states
+    rng = np.random.default_rng(n)
+    a, w = rng.random((n, n)), rng.random((n, n))
+    rows = np.stack((a, w), axis=1)
+    state = rng.uniform(-3.0, 3.0, (2, n))
+    expected = np.array([[a[i] @ state[0], w[i] @ state[1]] for i in range(n)])
+    assert np.vecdot(rows, state).tolist() == expected.tolist()
+    agents = rng.permutation(n)[: max(1, n // 3)]
+    assert np.vecdot(rows[agents], state).tolist() == expected[agents].tolist()
+    for replicas in (1, 7, 200):
+        states = rng.uniform(-3.0, 3.0, (replicas, 2, n))
+        picked = rng.integers(n, size=replicas)
+        batched = [[a[i] @ s[0], w[i] @ s[1]] for i, s in zip(picked, states)]
+        assert np.vecdot(rows[picked], states).tolist() == batched
 
 
 def test_discriminant_index_out_of_range(two_node_net):

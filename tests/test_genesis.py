@@ -100,6 +100,24 @@ def test_rescaled_thm7_self_certifies():
     assert check_thm7(z0, TwoLayerNetwork.single_layer(g), p).holds
 
 
+def test_rescaled_graph_is_checked_once_and_raises_when_it_fails(monkeypatch):
+    from types import SimpleNamespace
+
+    from coevnet import analysis
+
+    p = uniform_params(30, 0.7, 0.6, -1, 0.0)
+    real, calls = analysis.check_thm7, []
+
+    def failing(z0, net, params):
+        calls.append(real(z0, net, params).holds)
+        return SimpleNamespace(holds=False)
+
+    monkeypatch.setattr(analysis, "check_thm7", failing)
+    with pytest.raises(RuntimeError, match="thm7 failed its own checker"):
+        condition_rescaled("thm7", PART_15_15, p, 30, seed=11)
+    assert calls == [True]  # one draw, which the real checker accepts
+
+
 def test_rescaled_thm7_infeasible_parameters():
     p = uniform_params(30, 0.25, 0.4, -1, 0.0)
     with pytest.raises(InfeasibleConditionError, match="interval"):

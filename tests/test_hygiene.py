@@ -84,3 +84,16 @@ def test_one_linear_solve_in_package():
         if isinstance(node, ast.Attribute) and ast.unparse(node).endswith("linalg.solve")
     ]
     assert len(sites) == 1, f"np.linalg.solve at {sites}"
+
+
+def test_dynamics_reduces_rows_only_with_vecdot():
+    # every neighbourhood sum is one np.vecdot over stacked (A[i], W[i]) rows,
+    # which gives the same bits for one agent, a selection and the population
+    path = next(path for path in SOURCES if path.name == "dynamics.py")
+    sites = [
+        f"{type(node).__name__}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "einsum", "inner")
+    ]
+    assert not sites, f"dynamics.py reduces rows outside np.vecdot at {sites}"
