@@ -244,8 +244,8 @@ def potential_series(trace: Trace) -> list[float]:
 
     value = potential(trace.z0, net, params).value
     series = [value]
-    for _, group in trace.step_events():
-        for _, k, x_new, y_new, _ in group:
+    for updates in trace.log:
+        for k, x_new, y_new, _ in updates:
             x_old, y_old = x_list[k], y_list[k]
             if x_new != x_old:
                 pair_change = _pair_weight(x_new, x, alpha) - _pair_weight(x_old, x, alpha)

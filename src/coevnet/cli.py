@@ -202,6 +202,10 @@ def _build_network(
     n = _option(cfg, "network", "n")
     if n is None or n < 2:
         raise ConfigError("[network] n= must be at least 2")
+    try:  # the layers' n x n shape is refused before any n-long vector is built
+        np.empty((n, n))
+    except ValueError:  # numpy's refusal of a size past its index range
+        raise MemoryError from None
     params = _parse_params(cfg, n)
     seed = seeds["network"] if seeds else _option(cfg, "network", "seed", 0)
     split = _parse_split(cfg, n)
@@ -427,8 +431,7 @@ def _wilson(successes: int, samples: int) -> tuple:
 
 def cmd_montecarlo(args) -> int:
     if args.samples < 1:
-        print("error: samples must be at least 1", file=sys.stderr)
-        return 1
+        raise ConfigError("samples must be at least 1")
     scenario = _build_scenario(args)
     n = scenario.net.n
     counts: dict = {}

@@ -107,24 +107,14 @@ def discriminant(
     return float(discriminants(z, net, params, (i,))[0])
 
 
-def _check_tie_tol(tie_tol: float) -> None:
-    if not tie_tol >= 0.0:  # also rejects NaN
-        raise ValueError("tie_tol must be non-negative")
-
-
-def _sign(delta: float, x_current: int, tie_tol: float) -> int:
-    if delta > tie_tol:
+def sign_with_inertia(delta: float, x_current: int) -> int:
+    """Best-response action: the sign of ``delta``, keeping the current action
+    when ``delta`` is 0."""
+    if delta > 0.0:
         return 1
-    if delta < -tie_tol:
+    if delta < 0.0:
         return -1
     return int(x_current)
-
-
-def sign_with_inertia(delta: float, x_current: int, tie_tol: float = 0.0) -> int:
-    """Best-response action: the sign of ``delta``, keeping the current action
-    inside the tie band |delta| <= tie_tol."""
-    _check_tie_tol(tie_tol)
-    return _sign(delta, x_current, tie_tol)
 
 
 def step(
@@ -132,7 +122,6 @@ def step(
     active: Iterable[int],
     net: TwoLayerNetwork,
     params: AgentParams,
-    tie_tol: float = 0.0,
 ) -> PopulationState:
     """One synchronous-within-step update of the agents in ``active``.
 
@@ -150,7 +139,7 @@ def step(
     sums = _sums(z, net, params.alpha, idx)
     deltas = discriminant_from_sums(sums[:, 0], sums[:, 1], params, idx)
     for i, delta, opinion_sum in zip(idx, deltas.tolist(), sums[:, 1].tolist()):
-        s = sign_with_inertia(delta, int(z.actions[i]), tie_tol)
+        s = sign_with_inertia(delta, int(z.actions[i]))
         x_new[i] = s
         y_new[i] = opinion_update(opinion_sum, s, params.lam[i])
     return PopulationState(actions=x_new, opinions=y_new)
@@ -293,12 +282,12 @@ class StopCriterion:
 
 @dataclass(frozen=True)
 class Trace:
-    """Record of one run: the initial state, the final state and an event log.
+    """Record of one run: the initial state, the final state and a step log.
 
-    ``events`` holds one ``(t, i, x_i, y_i, delta_i)`` tuple per agent update:
-    in step t (1-based) agent i had discriminant delta_i and took action x_i
-    and opinion y_i.  Events are in step order, and by agent within a step;
-    ``steps`` counts every step run, including any with an empty active set.
+    ``log[t - 1]`` holds the updates of step t (1-based), one
+    ``(i, x_i, y_i, delta_i)`` tuple per active agent in agent order: agent i
+    had discriminant delta_i and took action x_i and opinion y_i.  A step with
+    an empty active set has an empty entry, so ``steps == len(log)``.
 
     ``states[t]`` is the state after step t (``states[0]`` is ``z0``), so
     ``states`` has one more entry than ``active`` and ``deltas``.  These three
@@ -306,10 +295,8 @@ class Trace:
     """
 
     z0: PopulationState
-    events: tuple[tuple[int, int, int, float, float], ...]
-    steps: int
+    log: tuple[tuple[tuple[int, int, float, float], ...], ...]
     final_state: PopulationState
-    converged: bool
     reason: str  # "converged" | "max_steps" | "schedule_exhausted"
     schedule_kind: str
     seed: int | None
@@ -319,45 +306,45 @@ class Trace:
     params: AgentParams
     net: TwoLayerNetwork
 
+    @property
+    def steps(self) -> int:
+        return len(self.log)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
     def final(self) -> PopulationState:
         return self.final_state
-
-    def step_events(self) -> Iterator[tuple[int, tuple]]:
-        """``(t, events of step t)`` for t = 1..steps, empty steps included."""
-        events, k = self.events, 0
-        for t in range(1, self.steps + 1):
-            start = k
-            while k < len(events) and events[k][0] == t:
-                k += 1
-            yield t, events[start:k]
 
     @cached_property
     def states(self) -> tuple[PopulationState, ...]:
         x, y = self.z0.actions.copy(), self.z0.opinions.copy()
         states = [self.z0]
-        for _, group in self.step_events():
-            for _, i, x_i, y_i, _ in group:
+        for updates in self.log:
+            for i, x_i, y_i, _ in updates:
                 x[i], y[i] = x_i, y_i
-            states.append(PopulationState(actions=x, opinions=y) if group else states[-1])
+            states.append(PopulationState(actions=x, opinions=y) if updates else states[-1])
         return tuple(states)
 
     @cached_property
     def active(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(e[1] for e in group) for _, group in self.step_events())
+        return tuple(frozenset(u[0] for u in updates) for updates in self.log)
 
     @cached_property
     def deltas(self) -> tuple[dict, ...]:
-        return tuple({e[1]: e[4] for e in group} for _, group in self.step_events())
+        return tuple({u[0]: u[3] for u in updates} for updates in self.log)
 
     def last_action_change(self) -> int:
         """Index of the last step whose action profile differs from its
         predecessor's; 0 when actions never change."""
         x = self.z0.actions.tolist()
         last = 0
-        for t, i, x_i, _, _ in self.events:
-            if x_i != x[i]:
-                x[i] = x_i
-                last = t
+        for t, updates in enumerate(self.log, 1):
+            for i, x_i, _, _ in updates:
+                if x_i != x[i]:
+                    x[i] = x_i
+                    last = t
         return last
 
 
@@ -367,7 +354,6 @@ def simulate(
     params: AgentParams,
     schedule: ActivationSchedule,
     stop: StopCriterion,
-    tie_tol: float = 0.0,
 ) -> Trace:
     """Run the engine until the stop criterion fires.
 
@@ -379,14 +365,13 @@ def simulate(
     the terminal opinions are compared against the exact opinion fixed point
     for the terminal actions, recorded as ``fixed_point_gap``.
 
-    The state is updated in place and each update is logged; every agent's
-    arithmetic is that of ``step``, so the states equal repeated ``step``
-    calls bitwise.
+    The state is updated in place and each step's updates are logged; every
+    agent's arithmetic is that of ``step``, so the states equal repeated
+    ``step`` calls bitwise.
     """
     n = z0.n
     if net.n != n or params.n != n or schedule.n != n:
         raise ValueError("state, network, params, and schedule sizes must agree")
-    _check_tie_tol(tie_tol)
 
     # per-run constants: each agent's stacked (A[i], W[i]) rows, coefficients
     # and opinion weight; bracket and y are in-place views of one (2, n) state
@@ -396,48 +381,35 @@ def simulate(
     x = z0.actions.tolist()
     state = np.stack((action_bracket(z0.actions.astype(float), alpha), z0.opinions))
     bracket, y = state
-    events: list[tuple[int, int, int, float, float]] = []
+    log: list[tuple[tuple[int, int, float, float], ...]] = []
 
     last_seen: dict[int, int] = {}  # agent -> last active step, least recent first
     realized_cover: int | None = None
-    last_action_change = -1
-    last_big_residual = -1
+    quiet_since = -1  # last step that flipped an action or moved an opinion by opinion_tol
 
     fixed_window = stop.window if stop.window is not None else schedule.persistence
     fallback_window = max(1, math.ceil(n * math.log(max(n, 2))))
-    reason = "max_steps"
     window_used: int | None = None
-    steps = 0
 
-    stream = schedule.iter_sets()
-    for t in range(stop.max_steps):
-        try:
-            active = next(stream)
-        except StopIteration:
-            reason = "schedule_exhausted"
-            break
-        steps = t + 1
+    for t, active in enumerate(itertools.islice(schedule.iter_sets(), stop.max_steps)):
         updates = []
         for i in sorted(active):  # every active agent reads the pre-step state
             action_sum, opinion_sum = np.vecdot(rows[i], state).tolist()
             # discriminant_from_sums with the run's coefficients: the same bits
             delta = c_act[i] * action_sum + c_op[i] * opinion_sum
-            s = _sign(delta, x[i], tie_tol)
-            updates.append((i, s, opinion_update(opinion_sum, s, lam[i]), delta))
-        residual = 0.0
-        for i, s, y_i, delta in updates:
-            y_i = clip_opinion(y_i)
+            s = sign_with_inertia(delta, x[i])
+            updates.append((i, s, clip_opinion(opinion_update(opinion_sum, s, lam[i])), delta))
+        for i, s, y_i, _ in updates:
             if s != x[i]:
                 x[i] = s
                 bracket[i] = action_bracket(float(s), alpha)
-                last_action_change = t
-            residual = max(residual, abs(y_i - float(y[i])))
+                quiet_since = t
+            elif abs(y_i - float(y[i])) >= stop.opinion_tol:
+                quiet_since = t
             y[i] = y_i
-            events.append((steps, i, s, y_i, delta))
             last_seen.pop(i, None)
             last_seen[i] = t
-        if residual >= stop.opinion_tol:
-            last_big_residual = t
+        log.append(tuple(updates))
 
         covered = len(last_seen) == n
         if covered:
@@ -452,15 +424,15 @@ def simulate(
             window = max(fallback_window, realized_cover or 0)
         window_used = window
 
-        quiet_since = max(last_action_change, last_big_residual)
         if t - quiet_since >= window:
             reason = "converged"
             break
+    else:
+        reason = "schedule_exhausted" if len(log) < stop.max_steps else "max_steps"
 
     final = PopulationState(actions=x, opinions=y)
-    converged = reason == "converged"
     gap: float | None = None
-    if converged:
+    if reason == "converged":
         from .oracle import opinion_fixed_point  # deferred: oracle imports dynamics
 
         y_star = opinion_fixed_point(final.actions, net, params)
@@ -468,10 +440,8 @@ def simulate(
 
     return Trace(
         z0=z0,
-        events=tuple(events),
-        steps=steps,
+        log=tuple(log),
         final_state=final,
-        converged=converged,
         reason=reason,
         schedule_kind=schedule.kind,
         seed=schedule.seed,
@@ -487,7 +457,7 @@ def simulate(
 
 
 def _cell_rows(trace: Trace, sep: str, y_cell) -> Iterator[tuple[int, tuple, str, list]]:
-    """``(t, events of step t, action cells joined by sep, opinion cells)``
+    """``(t, updates of step t, action cells joined by sep, opinion cells)``
     for t = 0..steps.
 
     The actions are re-joined only in a step that flips one.  Each agent's
@@ -498,15 +468,15 @@ def _cell_rows(trace: Trace, sep: str, y_cell) -> Iterator[tuple[int, tuple, str
     y = [y_cell(v) for v in trace.z0.opinions.tolist()]
     x_text = sep.join(map(str, x))
     yield 0, (), x_text, y
-    for t, group in trace.step_events():
+    for t, updates in enumerate(trace.log, 1):
         flipped = False
-        for _, i, x_i, y_i, _ in group:
+        for i, x_i, y_i, _ in updates:
             if x_i != x[i]:
                 x[i], flipped = x_i, True
             y[i] = y_cell(y_i)
         if flipped:
             x_text = sep.join(map(str, x))
-        yield t, group, x_text, y
+        yield t, updates, x_text, y
 
 
 def write_trace_jsonl(trace: Trace, path: str) -> None:
@@ -521,10 +491,10 @@ def write_trace_jsonl(trace: Trace, path: str) -> None:
     keys = [f'"{i}": ' for i in ids]
 
     def lines() -> Iterator[str]:
-        for t, group, x, y in _cell_rows(trace, ", ", repr):
-            active = ", ".join([ids[e[1]] for e in group])
-            keyed = sorted(group, key=lambda e: ids[e[1]]) if len(group) > 1 else group
-            delta = ", ".join([keys[e[1]] + repr(e[4]) for e in keyed])
+        for t, updates, x, y in _cell_rows(trace, ", ", repr):
+            active = ", ".join([ids[u[0]] for u in updates])
+            keyed = sorted(updates, key=lambda u: ids[u[0]]) if len(updates) > 1 else updates
+            delta = ", ".join([keys[u[0]] + repr(u[3]) for u in keyed])
             yield (
                 f'{{"active": [{active}], "delta": {{{delta}}}, "t": {t}, '
                 f'"x": [{x}], "y": [{", ".join(y)}]}}'

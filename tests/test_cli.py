@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coevnet
 from coevnet import AgentParams, PopulationState, is_nash, load_network, potential, simulate
 from coevnet.cli import _build_scenario, main
 from coevnet.dynamics import read_trace_csv, read_trace_jsonl
@@ -248,6 +251,35 @@ def test_memory_error_from_the_generator_exits_1(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _generate_peak_rss_mb(tmp_path, n):
+    """Exit code, stderr and peak RSS in MB of ``coevnet generate`` with
+    ``[network] n``, run in a fresh interpreter."""
+    cfg = _write(tmp_path, f"n{n}.ini", f"[network]\nn = {n}\n")
+    script = ("import resource, sys\n"
+              "from coevnet.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    src = os.path.dirname(os.path.dirname(coevnet.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--config", cfg,
+         "--out", str(tmp_path / "net.txt")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    per_mb = 2 ** 20 if sys.platform == "darwin" else 2 ** 10  # ru_maxrss units
+    return run.returncode, run.stderr, int(run.stdout) / per_mb
+
+
+def test_oversized_n_is_refused_before_any_n_long_vector(tmp_path):
+    # 4 * 10^6 agents: three parameter vectors would fit (96 MB), the layers not
+    code, err, peak = _generate_peak_rss_mb(tmp_path, 4 * 10**6)
+    assert code == 1
+    assert err.startswith("error: [network] n is too large") and "Traceback" not in err
+    _, _, floor = _generate_peak_rss_mb(tmp_path, 10**17)
+    assert peak <= floor + 32, f"peak RSS {peak:.1f} MB against {floor:.1f} MB"
+
+
 # --- montecarlo -----------------------------------------------------------------
 
 
@@ -264,6 +296,14 @@ def test_montecarlo_fractions_and_intervals(tmp_path, capsys):
         low, high = entry["ci95"]
         assert 0.0 <= low <= entry["fraction"] <= high <= 1.0
     assert os.path.exists(os.path.join(out, "montecarlo.json"))
+
+
+def test_montecarlo_rejects_zero_samples(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.ini", SMALL_RUN_INI)
+    assert main(["montecarlo", "--config", cfg, "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: samples must be at least 1\n"
+    assert captured.out == ""
 
 
 THM2_MC_INI = """
@@ -511,7 +551,7 @@ BIPARTITE = {("network", "kind"): "complete_bipartite"}
                      id="self-loops-need-random-symmetric"),
         pytest.param({("stop", "opinion_tol"): "inf"}, [], "opinion_tol must be positive",
                      id="infinite-opinion-tol"),
-        # 10^17 agents: one parameter vector alone (800 PB) is refused at once
+        # 10^17 agents: the n x n layers are past numpy's size range
         pytest.param({("network", "n"): str(10**17)}, [], "[network] n is too large",
                      id="oversized-n"),
         pytest.param({("network", "sed"): "5"}, [], "unknown key [network] sed",

@@ -146,29 +146,23 @@ def test_discriminant_index_out_of_range(two_node_net):
 
 
 def test_sign_with_inertia_examples():
-    assert sign_with_inertia(0.3, -1, 0.0) == 1
-    assert sign_with_inertia(0.0, -1, 0.0) == -1  # inertia holds the current action
-    assert sign_with_inertia(-1e-13, +1, 1e-12) == 1  # inside the tie band
+    assert sign_with_inertia(0.3, -1) == 1
+    assert sign_with_inertia(0.0, -1) == -1  # inertia holds the current action
+    assert sign_with_inertia(-1e-13, +1) == -1  # any nonzero delta decides
 
 
 @given(
     delta=st.floats(-10, 10, allow_nan=False),
     current=st.sampled_from([-1, 1]),
-    tol=st.floats(0, 1e-6),
 )
-def test_sign_with_inertia_properties(delta, current, tol):
-    s = sign_with_inertia(delta, current, tol)
-    if delta > tol:
+def test_sign_with_inertia_properties(delta, current):
+    s = sign_with_inertia(delta, current)
+    if delta > 0.0:
         assert s == 1
-    elif delta < -tol:
+    elif delta < 0.0:
         assert s == -1
     else:
         assert s == current
-
-
-def test_sign_with_inertia_rejects_negative_band():
-    with pytest.raises(ValueError):
-        sign_with_inertia(0.0, 1, -1e-9)
 
 
 # --- step -----------------------------------------------------------------------------
@@ -382,6 +376,23 @@ def test_simulate_explicit_schedule_can_exhaust():
     assert not trace.converged and trace.reason == "schedule_exhausted"
 
 
+def test_simulate_tells_the_step_cap_from_the_schedule_end():
+    net = rand_net(3, seed=71)
+    p = uniform_params(3, 0.5, 0.5, -1)
+    z0 = initial_state("random", 3, 4)
+    stop = StopCriterion(max_steps=4, window=4)
+    sets = [{0}, set(), {1, 2}, {0}]
+    at_cap = simulate(z0, net, p, ActivationSchedule.explicit(3, sets), stop)
+    assert at_cap.reason == "max_steps"
+    assert at_cap.steps == len(at_cap.log) == 4
+    assert at_cap.log[1] == ()  # the empty step keeps its entry
+    assert [[u[0] for u in updates] for updates in at_cap.log] == [[0], [], [1, 2], [0]]
+    short = simulate(z0, net, p, ActivationSchedule.explicit(3, sets[:-1]), stop)
+    assert short.reason == "schedule_exhausted"
+    assert short.steps == len(short.log) == 3
+    assert short.log == at_cap.log[:-1]
+
+
 def test_states_are_immutable():
     z = PopulationState(actions=[1, -1], opinions=[0.1, -0.2])
     with pytest.raises(ValueError):
@@ -395,10 +406,9 @@ def test_states_are_immutable():
     n=st.integers(2, 10),
     seed=st.integers(0, 2 ** 16),
     kind=st.sampled_from(["uniform_random", "round_robin", "explicit"]),
-    tie_tol=st.sampled_from([0.0, 1e-3, 0.05]),
     alpha=st.sampled_from([0.0, 0.7]),
 )
-def test_simulate_equals_repeated_steps(n, seed, kind, tie_tol, alpha):
+def test_simulate_equals_repeated_steps(n, seed, kind, alpha):
     # the in-place kernel against the step() reference on the same schedule
     # stream: bitwise-equal states at every t, equal deltas, equal active sets
     rng = np.random.default_rng(seed)
@@ -415,7 +425,7 @@ def test_simulate_equals_repeated_steps(n, seed, kind, tie_tol, alpha):
         schedule = ActivationSchedule.explicit(
             n, [rng.choice(n, size=int(k), replace=False).tolist() for k in sizes]
         )
-    trace = simulate(z0, net, p, schedule, StopCriterion(max_steps=80), tie_tol)
+    trace = simulate(z0, net, p, schedule, StopCriterion(max_steps=80))
 
     assert len(trace.states) == trace.steps + 1 == len(trace.active) + 1
     z = z0
@@ -424,7 +434,7 @@ def test_simulate_equals_repeated_steps(n, seed, kind, tie_tol, alpha):
         assert trace.active[t] == active
         assert list(trace.deltas[t]) == agents
         assert list(trace.deltas[t].values()) == discriminants(z, net, p, agents).tolist()
-        z = step(z, active, net, p, tie_tol)
+        z = step(z, active, net, p)
         assert trace.states[t + 1].actions.tolist() == z.actions.tolist()
         assert trace.states[t + 1].opinions.tobytes() == z.opinions.tobytes()
     assert trace.final().actions.tolist() == z.actions.tolist()
@@ -447,16 +457,6 @@ def test_trace_replays_states_once():
                      ActivationSchedule.uniform_random(5, seed=2), StopCriterion(max_steps=50))
     assert trace.states is trace.states
     assert trace.active is trace.active and trace.deltas is trace.deltas
-
-
-def test_simulate_rejects_negative_tie_band_before_running():
-    net = rand_net(3, seed=5)
-    p = uniform_params(3, 0.5, 0.5, 1)
-    z0 = initial_state("random", 3, 1)
-    for tie_tol in (-1e-9, float("nan")):
-        with pytest.raises(ValueError, match="tie_tol"):
-            simulate(z0, net, p, ActivationSchedule.round_robin(3), StopCriterion(max_steps=5),
-                     tie_tol)
 
 
 def test_simulate_uniform_random_waits_for_cover():

@@ -336,15 +336,12 @@ def test_cross_validate_flags_truncated_trace():
     # corrupt the terminal opinions: pretend the run stopped mid-transient
     z_bad = PopulationState(actions=trace.final().actions,
                             opinions=np.clip(trace.final().opinions + 0.05, -1, 1))
-    t_bad = trace.steps + 1
     bad = type(trace)(
         z0=trace.z0,
-        events=trace.events + tuple(
-            (t_bad, i, int(z_bad.actions[i]), float(z_bad.opinions[i]), 0.0)
-            for i in range(z_bad.n)
-        ),
-        steps=t_bad, final_state=z_bad,
-        converged=True, reason="converged", schedule_kind=trace.schedule_kind,
+        log=trace.log + (tuple(
+            (i, int(z_bad.actions[i]), float(z_bad.opinions[i]), 0.0) for i in range(z_bad.n)
+        ),),
+        final_state=z_bad, reason="converged", schedule_kind=trace.schedule_kind,
         seed=trace.seed, window_used=trace.window_used,
         realized_cover=trace.realized_cover, fixed_point_gap=None,
         params=p, net=net,
@@ -357,8 +354,8 @@ def test_cross_validate_flags_truncated_trace():
 def test_cross_validate_requires_convergence():
     trace, net, p = _converged_trace(5, 53)
     unconverged = type(trace)(
-        z0=trace.z0, events=trace.events, steps=trace.steps, final_state=trace.final(),
-        converged=False, reason="max_steps", schedule_kind=trace.schedule_kind,
+        z0=trace.z0, log=trace.log, final_state=trace.final(),
+        reason="max_steps", schedule_kind=trace.schedule_kind,
         seed=trace.seed, window_used=trace.window_used,
         realized_cover=trace.realized_cover, fixed_point_gap=None,
         params=p, net=net,
