@@ -1,5 +1,5 @@
 """Payoff evaluation, analytic best responses, Nash-equilibrium verification,
-the ordinal potential for anti-coordinating populations, the seven condition
+the ordinal potential for anti-coordinating populations, the six condition
 checkers, and the (beta, lambda) contour functions behind them.
 
 Checker ids (also the CLI vocabulary): thm2, thm3, thm5, thm6, thm7, eq22.
@@ -328,8 +328,7 @@ def _prerequisites(
     want_eps: int,
     *,
     require_symmetric: bool = True,
-    require_same_layers: bool = False,
-    require_alpha_zero: bool = False,
+    require_same_layers_alpha_zero: bool = False,
 ) -> list:
     reasons = []
     if not params.homogeneous():
@@ -339,10 +338,11 @@ def _prerequisites(
         reasons.append(f"population must be {kind}")
     if require_symmetric and not (net.A.symmetric and net.W.symmetric):
         reasons.append("layers must be symmetric")
-    if require_same_layers and not net.same_layers():
-        reasons.append("layers must coincide (A = W)")
-    if require_alpha_zero and params.alpha != 0.0:
-        reasons.append("alpha must be zero")
+    if require_same_layers_alpha_zero:
+        if not net.same_layers():
+            reasons.append("layers must coincide (A = W)")
+        if params.alpha != 0.0:
+            reasons.append("alpha must be zero")
     return reasons
 
 
@@ -458,7 +458,7 @@ def check_thm3(
     """
     reasons = _prerequisites(
         net, params, want_eps=1,
-        require_symmetric=False, require_same_layers=True, require_alpha_zero=True,
+        require_symmetric=False, require_same_layers_alpha_zero=True,
     )
     camps = _polarized_camps(z0, reasons)
     if reasons:
@@ -529,9 +529,7 @@ def check_thm6(
     enumeration is the ground truth for such audits, and this checker never
     reconciles the discrepancy silently.
     """
-    reasons = _prerequisites(
-        net, params, want_eps=-1, require_same_layers=True, require_alpha_zero=True
-    )
+    reasons = _prerequisites(net, params, want_eps=-1, require_same_layers_alpha_zero=True)
     if reasons:
         return _not_applicable("thm6", reasons)
     degrees = partition_degrees(partition, net)
@@ -584,9 +582,7 @@ def check_thm7(
     """Partition invariance and polarized convergence for anti-coordinating
     populations: each camp's within-camp weight must sit inside an open
     parameter interval, separately for every member."""
-    reasons = _prerequisites(
-        net, params, want_eps=-1, require_same_layers=True, require_alpha_zero=True
-    )
+    reasons = _prerequisites(net, params, want_eps=-1, require_same_layers_alpha_zero=True)
     if not reasons:
         lam = float(params.lam[0])
         beta = float(params.beta[0])
@@ -618,9 +614,7 @@ def check_coordination_polarized(
     """Polarized convergence condition for coordinating populations: both camps
     must keep more than a parameter threshold (always above 1/2) of their
     weight inside the camp."""
-    reasons = _prerequisites(
-        net, params, want_eps=1, require_same_layers=True, require_alpha_zero=True
-    )
+    reasons = _prerequisites(net, params, want_eps=1, require_same_layers_alpha_zero=True)
     camps = _polarized_camps(z0, reasons)
     if reasons:
         return _not_applicable("eq22", reasons)

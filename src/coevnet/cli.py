@@ -236,17 +236,15 @@ def _build_scenario(args) -> Scenario:
     cfg = _read_config(args.config, args.reproduce)
     seeds = _derived_seeds(args.seed)
     try:
-        net, params, split = _build_network(cfg, seeds)
+        net, params, partition = _build_network(cfg, seeds)
     except MemoryError:  # numpy refuses at once an array larger than memory
         raise ConfigError("[network] n is too large: the network does not fit in memory") from None
     n = net.n
 
     initial_kind = cfg.get("initial", "kind", fallback="random")
     initial_seed = seeds["initial"] if seeds else _option(cfg, "initial", "seed", 1)
-    partition = split
     try:
-        z0 = genesis.initial_state(initial_kind, n, initial_seed,
-                                   partition if initial_kind != "random" else None)
+        z0 = genesis.initial_state(initial_kind, n, initial_seed, partition)
     except ValueError as exc:
         raise ConfigError(f"invalid [initial]: {exc}") from exc
 
@@ -439,10 +437,7 @@ def cmd_montecarlo(args) -> int:
     polarized_runs = 0
     for k in range(args.samples):
         sub = np.random.SeedSequence([scenario.initial_seed, k]).generate_state(2)
-        z0 = genesis.initial_state(
-            scenario.initial_kind, n, int(sub[0]),
-            scenario.partition if scenario.initial_kind != "random" else None,
-        )
+        z0 = genesis.initial_state(scenario.initial_kind, n, int(sub[0]), scenario.partition)
         if scenario.schedule.kind == "uniform_random":
             schedule = dynamics.ActivationSchedule.uniform_random(n, int(sub[1]))
         else:

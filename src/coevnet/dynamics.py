@@ -81,6 +81,15 @@ def _sums(z: PopulationState, net: TwoLayerNetwork, alpha: float, rows) -> np.nd
     return np.vecdot(np.stack((net.A.weights[rows], net.W.weights[rows]), axis=1), state)
 
 
+def _agent_ids(agents: Iterable[int], n: int) -> list[int]:
+    """``agents`` as Python ints, each an agent id in 0..n-1."""
+    ids = [check_integer("agent", i) for i in agents]
+    for i in ids:
+        if not 0 <= i < n:
+            raise IndexError(f"agent id {i} out of range for n={n}")
+    return ids
+
+
 def discriminants(
     z: PopulationState,
     net: TwoLayerNetwork,
@@ -93,7 +102,7 @@ def discriminants(
     Every agent's value has the bits the simulation steps compute, so the
     full form and any selection agree exactly.
     """
-    rows = slice(None) if agents is None else list(agents)
+    rows = slice(None) if agents is None else _agent_ids(agents, z.n)
     sums = _sums(z, net, params.alpha, rows)
     return discriminant_from_sums(sums[:, 0], sums[:, 1], params, rows)
 
@@ -102,8 +111,6 @@ def discriminant(
     i: int, z: PopulationState, net: TwoLayerNetwork, params: AgentParams
 ) -> float:
     """Discriminant of a single agent (index 0-based)."""
-    if not 0 <= i < z.n:
-        raise IndexError(f"agent index {i} out of range for n={z.n}")
     return float(discriminants(z, net, params, (i,))[0])
 
 
@@ -129,9 +136,7 @@ def step(
     the convex mix of neighbourhood opinion and the new action; everyone else
     is carried over bitwise.  All discriminants see the pre-step state.
     """
-    idx = sorted(set(int(i) for i in active))
-    if any(i < 0 or i >= z.n for i in idx):
-        raise IndexError("active set out of range")
+    idx = sorted(set(_agent_ids(active, z.n)))
     if not idx:
         return z
     x_new = z.actions.copy()
@@ -214,46 +219,44 @@ class ActivationSchedule:
             yield from self.explicit_sets
 
 
-def _scan_persistence(sets: Sequence[frozenset], n: int) -> int | None:
+def _covers(sets: Iterable[Iterable[int]], n: int) -> Iterator[tuple[list[int], int | None]]:
+    """Each step's active agents in ascending order, with the realized cover
+    so far: the longest of the shortest all-agent windows ending at each step
+    up to this one, None until every agent has been active."""
+    last_seen: dict[int, int] = {}  # agent -> last active step, least recent first
+    cover = None
+    for t, active in enumerate(sets):
+        agents = sorted(active)
+        for i in agents:
+            last_seen.pop(i, None)
+            last_seen[i] = t
+        if len(last_seen) == n:
+            span = t - next(iter(last_seen.values())) + 1
+            cover = span if cover is None else max(cover, span)
+        yield agents, cover
+
+
+def _scan_persistence(sets: Iterable[frozenset], n: int) -> int | None:
     """Smallest T such that every length-T window inside the prefix covers all
-    agents; None when even the full prefix misses someone."""
-    length = len(sets)
-    cover_len = np.full(length, np.inf)
-    counts = np.zeros(n, dtype=int)
-    missing = n
-    end = 0
-    for start in range(length):
-        while end < length and missing > 0:
-            for i in sets[end]:
-                if counts[i] == 0:
-                    missing -= 1
-                counts[i] += 1
-            end += 1
-        if missing == 0:
-            cover_len[start] = end - start
-        for i in sets[start]:
-            counts[i] -= 1
-            if counts[i] == 0:
-                missing += 1
-    prefix_max = np.maximum.accumulate(cover_len)
-    for window in range(1, length + 1):
-        if prefix_max[length - window] <= window:
-            return window
-    return None
+    agents; None when even the full prefix misses someone.
+
+    A length-T window ending at step e covers iff T is at least the shortest
+    covering span ending there, so T must reach the first covered step
+    (counted from 1) and the realized cover of the whole prefix.
+    """
+    uncovered, cover = 0, None
+    for _, cover in _covers(sets, n):
+        uncovered += cover is None
+    return None if cover is None else max(uncovered + 1, cover)
 
 
 def verify_persistence(
     schedule: ActivationSchedule, horizon: int
 ) -> int | None:
     """Certified persistence bound over the first ``horizon`` steps."""
-    if horizon < 1:
+    if check_integer("horizon", horizon) < 1:
         raise ValueError("horizon must be positive")
-    sets = []
-    for s in schedule.iter_sets():
-        sets.append(s)
-        if len(sets) >= horizon:
-            break
-    return _scan_persistence(sets, schedule.n)
+    return _scan_persistence(itertools.islice(schedule.iter_sets(), horizon), schedule.n)
 
 
 # --- simulation --------------------------------------------------------------
@@ -383,17 +386,16 @@ def simulate(
     bracket, y = state
     log: list[tuple[tuple[int, int, float, float], ...]] = []
 
-    last_seen: dict[int, int] = {}  # agent -> last active step, least recent first
-    realized_cover: int | None = None
     quiet_since = -1  # last step that flipped an action or moved an opinion by opinion_tol
 
     fixed_window = stop.window if stop.window is not None else schedule.persistence
     fallback_window = max(1, math.ceil(n * math.log(max(n, 2))))
     window_used: int | None = None
 
-    for t, active in enumerate(itertools.islice(schedule.iter_sets(), stop.max_steps)):
+    sets = itertools.islice(schedule.iter_sets(), stop.max_steps)
+    for t, (active, realized_cover) in enumerate(_covers(sets, n)):
         updates = []
-        for i in sorted(active):  # every active agent reads the pre-step state
+        for i in active:  # every active agent reads the pre-step state
             action_sum, opinion_sum = np.vecdot(rows[i], state).tolist()
             # discriminant_from_sums with the run's coefficients: the same bits
             delta = c_act[i] * action_sum + c_op[i] * opinion_sum
@@ -407,21 +409,14 @@ def simulate(
             elif abs(y_i - float(y[i])) >= stop.opinion_tol:
                 quiet_since = t
             y[i] = y_i
-            last_seen.pop(i, None)
-            last_seen[i] = t
         log.append(tuple(updates))
-
-        covered = len(last_seen) == n
-        if covered:
-            span = t - next(iter(last_seen.values())) + 1
-            realized_cover = span if realized_cover is None else max(realized_cover, span)
 
         if fixed_window is not None:
             window = fixed_window
+        elif realized_cover is None:
+            continue
         else:
-            if not covered:
-                continue
-            window = max(fallback_window, realized_cover or 0)
+            window = max(fallback_window, realized_cover)
         window_used = window
 
         if t - quiet_since >= window:

@@ -1,12 +1,13 @@
 """Reproducible construction of networks and initial states: random symmetric
-row-stochastic graphs, graphs rescaled until a named condition checker holds,
-balanced complete-bipartite graphs, and seeded initial states.
+row-stochastic graphs, graphs drawn inside the mass bands on which a named
+condition checker holds, balanced complete-bipartite graphs, and seeded
+initial states.
 
 Every generator is a pure function of its seed (PCG64 via
 ``numpy.random.default_rng``), so identical inputs give bitwise-identical
-output.  Rescaled generation is self-certifying: the produced graph is passed
-through its target checker, and generation raises if the checker does not
-report "holds".
+output.  Rescaled generation is one checked draw: the produced graph is
+passed through its target checker, and generation raises if the checker does
+not report "holds".
 """
 from __future__ import annotations
 
@@ -15,9 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .netcore import AgentParams, PopulationState, TwoLayerNetwork, WeightedGraph, check_partition
+from .netcore import (
+    ROW_SUM_TOL,
+    AgentParams,
+    PopulationState,
+    TwoLayerNetwork,
+    WeightedGraph,
+    check_partition,
+)
 
-_SINKHORN_TOL = 1e-12
 _SINKHORN_PLATEAU = 1e-13
 _MAX_SWEEPS = 10_000
 _MARGIN = 0.05  # interior margin kept between sampled masses and the thresholds
@@ -46,15 +53,15 @@ def _sym_sinkhorn(m: np.ndarray, target: float | np.ndarray = 1.0) -> np.ndarray
         if np.any(sums <= 0.0):
             raise RuntimeError("symmetric normalization hit an empty row")
         dev = float(np.max(np.abs(sums - target)))
-        if dev <= _SINKHORN_PLATEAU or (dev <= _SINKHORN_TOL and dev >= prev):
+        if dev <= _SINKHORN_PLATEAU or (dev <= ROW_SUM_TOL and dev >= prev):
             return m
         prev = dev
         d = np.sqrt(target / sums)
         m = m * np.outer(d, d)
-    if dev <= _SINKHORN_TOL:
+    if dev <= ROW_SUM_TOL:
         return m
     raise RuntimeError(
-        f"symmetric normalization failed to reach tolerance {_SINKHORN_TOL:g} "
+        f"symmetric normalization failed to reach tolerance {ROW_SUM_TOL:g} "
         f"within {_MAX_SWEEPS} sweeps (deviation {dev:.3e})"
     )
 
@@ -103,7 +110,7 @@ def _blocked_symmetric(
     target = np.full(n, 1.0 - m_pos)
     target[n_idx] = 1.0 - m_neg
     w += _sym_sinkhorn(cross + cross.T, target)
-    if float(np.max(np.abs(w.sum(axis=1) - 1.0))) > _SINKHORN_TOL:
+    if float(np.max(np.abs(w.sum(axis=1) - 1.0))) > ROW_SUM_TOL:
         w = _sym_sinkhorn(w)
     return w
 

@@ -20,7 +20,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 CONSENSUS_OPINION_TOL = 1e-9
 _OPINION_RANGE_TOL = 1e-9
-_WRITE_BATCH = 1 << 16  # characters collected before one write call
+_WRITE_BATCH = 1 << 16  # bytes buffered before one write call
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -347,20 +347,15 @@ def atomic_write_lines(path: str, lines: Iterable[str]) -> None:
     """Write each of ``lines`` and a newline to ``path`` (UTF-8) through a
     temporary file in the same directory, so readers see either the old file
     or the complete new one.  ``lines`` may be a generator: the file is
-    written as it is produced, in batches of about 64 KiB, never held in
-    memory whole."""
+    written as it is produced through a 64 KiB buffer, never held in memory
+    whole."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            batch, size = [], 0
+        with os.fdopen(fd, "w", buffering=_WRITE_BATCH, encoding="utf-8") as handle:
             for line in lines:
-                batch.append(f"{line}\n")
-                size += len(line) + 1
-                if size >= _WRITE_BATCH:
-                    handle.write("".join(batch))
-                    batch, size = [], 0
-            handle.write("".join(batch))
+                handle.write(line)
+                handle.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

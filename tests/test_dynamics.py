@@ -142,6 +142,26 @@ def test_discriminant_index_out_of_range(two_node_net):
         discriminant(2, z, two_node_net, p)
 
 
+# three agents for the agent-id checks
+_Z3 = PopulationState(actions=[1, -1, 1], opinions=[0.2, -0.4, 0.6])
+_NET3, _P3 = rand_net(3, seed=5), uniform_params(3, 0.5, 0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda agent: step(_Z3, [0, agent], _NET3, _P3), id="step"),
+        pytest.param(lambda agent: discriminants(_Z3, _NET3, _P3, [agent]), id="discriminants"),
+        pytest.param(lambda agent: discriminant(agent, _Z3, _NET3, _P3), id="discriminant"),
+    ],
+)
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_agent_ids_outside_0_to_n_minus_1_raise_index_error(call, agent):
+    # numpy would wrap -1 to the last agent; the id check refuses it
+    with pytest.raises(IndexError, match=f"agent id {agent} out of range for n=3"):
+        call(agent)
+
+
 # --- tie-broken sign ---------------------------------------------------------------
 
 
@@ -231,6 +251,47 @@ def test_explicit_unverified_when_agent_never_active():
     assert verify_persistence(sched, horizon=3) is None
 
 
+def _brute_persistence(sets, n):
+    """Smallest T whose every length-T window inside ``sets`` holds all agents."""
+    for window in range(1, len(sets) + 1):
+        starts = range(len(sets) - window + 1)
+        if all(set().union(*sets[s:s + window]) == set(range(n)) for s in starts):
+            return window
+    return None
+
+
+def _brute_realized_cover(sets, n):
+    """Longest, over the steps, of the shortest all-agent window ending there."""
+    spans = [
+        min((k for k in range(1, e + 2) if set().union(*sets[e + 1 - k:e + 1]) == set(range(n))),
+            default=None)
+        for e in range(len(sets))
+    ]
+    return max((k for k in spans if k is not None), default=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7))
+def test_coverage_pass_matches_brute_force_windows(data, n):
+    # explicit prefixes with empty and multi-agent sets: the certificate,
+    # verify_persistence over any horizon and the simulated realized cover
+    sets = data.draw(st.lists(st.frozensets(st.integers(0, n - 1)), min_size=1, max_size=30))
+    horizon = data.draw(st.integers(1, 35))
+    schedule = ActivationSchedule.explicit(n, sets)
+    assert schedule.persistence == _brute_persistence(sets, n)
+    assert verify_persistence(schedule, horizon) == _brute_persistence(sets[:horizon], n)
+    round_robin = ActivationSchedule.round_robin(n)
+    assert round_robin.persistence == n
+    cycled = [frozenset((t % n,)) for t in range(horizon)]
+    assert verify_persistence(round_robin, horizon) == _brute_persistence(cycled, n)
+    if n > 1:  # an action layer without self-loops needs two agents
+        z0 = rand_state(n, np.random.default_rng(n))
+        trace = simulate(z0, rand_net(n, seed=n), uniform_params(n, 0.5, 0.5, -1), schedule,
+                         StopCriterion(max_steps=len(sets), window=len(sets)))
+        assert trace.active == tuple(sets)
+        assert trace.realized_cover == _brute_realized_cover(sets, n)
+
+
 def test_uniform_random_stream_is_replayable():
     sched = ActivationSchedule.uniform_random(6, seed=42)
     first = [next(iter(s)) for _, s in zip(range(50), sched.iter_sets())]
@@ -292,6 +353,14 @@ def test_uniform_random_schedule_draws_per_block_not_per_step(monkeypatch):
                      "max_steps must be an integer", id="str-max-steps"),
         pytest.param(lambda: StopCriterion(max_steps=10, window=2.5),
                      "window must be an integer", id="float-window"),
+        pytest.param(lambda: step(_Z3, [1.7], _NET3, _P3),
+                     "agent must be an integer", id="float-step-agent"),
+        pytest.param(lambda: step(_Z3, [True], _NET3, _P3),
+                     "agent must be an integer", id="bool-step-agent"),
+        pytest.param(lambda: discriminants(_Z3, _NET3, _P3, [1.0]),
+                     "agent must be an integer", id="float-discriminants-agent"),
+        pytest.param(lambda: verify_persistence(ActivationSchedule.round_robin(3), 3.5),
+                     "horizon must be an integer", id="float-horizon"),
     ],
 )
 def test_non_integral_counts_and_seeds_are_rejected(build, message):

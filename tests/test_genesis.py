@@ -10,7 +10,6 @@ from coevnet.analysis import (
 )
 from coevnet import genesis
 from coevnet.genesis import (
-    _SINKHORN_TOL,
     GenSpec,
     InfeasibleConditionError,
     build_graph,
@@ -20,6 +19,7 @@ from coevnet.genesis import (
     random_symmetric_stochastic,
 )
 from coevnet.genesis import _sym_sinkhorn
+from coevnet.netcore import ROW_SUM_TOL
 
 from conftest import uniform_params
 
@@ -202,7 +202,7 @@ def _rect_sinkhorn_reference(m, row_target, col_target):
         dev = float(np.max(np.abs(m.sum(axis=1) - row_target)))
         if dev <= 1e-13:
             return m
-    if dev <= _SINKHORN_TOL:
+    if dev <= ROW_SUM_TOL:
         return m
     raise RuntimeError(f"rectangular reference failed to converge (deviation {dev:.3e})")
 
@@ -230,7 +230,7 @@ def test_balancer_on_a_bipartite_block_matches_the_rectangular_reference(p, q, m
         cross = 0.05 + rng.random((p, q))
         w = _sym_sinkhorn(_bipartite(cross), target)
         assert np.array_equal(w, w.T)
-        assert np.max(np.abs(w.sum(axis=1) - target)) <= _SINKHORN_TOL
+        assert np.max(np.abs(w.sum(axis=1) - target)) <= ROW_SUM_TOL
         assert np.all(w[:p, :p] == 0.0) and np.all(w[p:, p:] == 0.0)
         reference = _rect_sinkhorn_reference(cross, row_target, col_target)
         assert np.max(np.abs(w[:p, p:] - reference)) <= 1e-12
