@@ -46,7 +46,6 @@ from .analysis import (
 from .oracle import (
     EquilibriumCandidate,
     candidate,
-    cross_validate,
     enumerate_equilibria,
     opinion_fixed_point,
 )

@@ -54,32 +54,21 @@ def payoff(
         raise ValueError("candidate action must be -1 or +1")
     if abs(y_hat) > 1.0:
         raise ValueError("candidate opinion must lie in [-1, 1]")
-    xj = z.actions.astype(float)
-    yj = z.opinions
-    a = net.A.weights[i]
-    w = net.W.weights[i]
-    alpha = params.alpha
-    coordination = (
-        params.eps[i]
-        * params.lam[i]
-        * (1.0 - params.beta[i])
-        / 4.0
-        * float(a @ ((1.0 - x_hat) * (1.0 - xj) + (1.0 + alpha) * (1.0 + x_hat) * (1.0 + xj)))
-    )
-    social = -0.5 * (1.0 - params.lam[i]) * params.beta[i] * float(w @ (y_hat - yj) ** 2)
-    consistency = -0.5 * params.lam[i] * params.beta[i] * (y_hat - x_hat) ** 2
-    return coordination + social + consistency
+    sums = _neighbourhood(z.actions.astype(float), z.opinions, net, i)
+    return float(_payoffs(x_hat, y_hat, sums, params)[i])
 
 
-def _neighbourhood(x: np.ndarray, y: np.ndarray, net: TwoLayerNetwork) -> tuple:
+def _neighbourhood(
+    x: np.ndarray, y: np.ndarray, net: TwoLayerNetwork, agents=slice(None)
+) -> tuple:
     """Each agent's weighted sums over the profile of actions ``x`` and
     opinions ``y`` (agents on the last axis, leading axes batch profiles): of
     a_ij (1 - x_j) and a_ij (1 + x_j) on the action layer, which has no
     self-loops; of w_ij, w_ij y_j and w_ij y_j^2 on the opinion layer, where
-    j = i is the agent's current opinion."""
-    A, W = net.A.weights, net.W.weights
-    sa, ma = A.sum(axis=1), (A @ x.T).T
-    return sa - ma, sa + ma, W.sum(axis=1), (W @ y.T).T, (W @ (y * y).T).T
+    j = i is the agent's current opinion.  ``agents`` selects the rows i."""
+    A, W = net.A.weights[agents], net.W.weights[agents]
+    sa, ma = A.sum(axis=-1), (A @ x.T).T
+    return sa - ma, sa + ma, W.sum(axis=-1), (W @ y.T).T, (W @ (y * y).T).T
 
 
 def _pair_weight(xa, xb, alpha: float):
@@ -91,7 +80,9 @@ def _pair_weight(xa, xb, alpha: float):
 
 def _payoffs(x_hat, y_hat, sums: tuple, params: AgentParams) -> np.ndarray:
     """Payoff of every agent i playing (x_hat[i], y_hat[i]) against the
-    profile summed by ``_neighbourhood``: the three terms of ``payoff``."""
+    profile summed by ``_neighbourhood``: the coordination game over the
+    action layer, disagreement with the opinion layer, and the distance
+    between the agent's own opinion and action."""
     a_minus, a_plus, sw, sig, qw = sums
     lam, beta, alpha = params.lam, params.beta, params.alpha
     # sum over neighbours j of a_ij * pair(x_hat_i, x_j)

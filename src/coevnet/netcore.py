@@ -127,10 +127,13 @@ class AgentParams:
             raise ValueError("lam entries must lie strictly in (0, 1)")
         if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ValueError("beta entries must lie strictly in (0, 1)")
-        if not np.all(np.isin(eps, (-1, 1))):  # before the int cast, so 1.7 is no +1
+        # before the int cast, so neither 1.7 nor True is +1
+        if eps.dtype == bool or not np.all(np.isin(eps, (-1, 1))):
             raise ValueError("eps entries must be -1 or +1")
         eps = eps.astype(int)
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        if isinstance(self.alpha, (bool, np.bool_)) or not (
+            math.isfinite(self.alpha) and self.alpha >= 0.0
+        ):
             raise ValueError("alpha must be a finite non-negative real")
         object.__setattr__(self, "lam", _frozen(lam))
         object.__setattr__(self, "beta", _frozen(beta))
@@ -174,7 +177,8 @@ class PopulationState:
         y = np.array(self.opinions, dtype=float)
         if x.ndim != 1 or y.ndim != 1 or x.size != y.size or x.size < 1:
             raise ValueError("actions and opinions must be 1-d vectors of equal size")
-        if not np.all((x == 1) | (x == -1)):  # before the int cast, so 1.5 is no +1
+        # before the int cast, so neither 1.5 nor True is +1
+        if x.dtype == bool or not np.all((x == 1) | (x == -1)):
             raise ValueError("actions must be exactly -1 or +1")
         x = x.astype(int)
         if np.any(np.abs(y) > 1.0 + _OPINION_RANGE_TOL) or not np.all(np.isfinite(y)):

@@ -1,6 +1,5 @@
-"""Ground-truth machinery: exact opinion fixed points for frozen actions,
-exhaustive equilibrium enumeration for small populations, and cross-validation
-of simulation output against both.
+"""Ground-truth machinery: exact opinion fixed points for frozen actions and
+exhaustive equilibrium enumeration for small populations.
 
 With actions frozen at a profile x the opinion fixed point is linear,
 y* = S x, and every agent's discriminant at (x, y*) is affine,
@@ -20,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .dynamics import Trace, action_bracket, discriminant_from_sums, opinion_update
+from .dynamics import action_bracket, discriminant_from_sums, opinion_update
 from .netcore import AgentParams, TwoLayerNetwork
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 DEFAULT_N_MAX = 20
-_BLOCK = 1 << 13  # profiles decided together by the enumeration
+_CHUNK = 1 << 9  # prefix rows that the enumeration extends together
 
 
 def _fixed_point(net: TwoLayerNetwork, params: AgentParams, rhs: np.ndarray) -> np.ndarray:
@@ -61,30 +60,6 @@ def opinion_fixed_point(
     return y
 
 
-def iterate_opinions(
-    x: np.ndarray,
-    net: TwoLayerNetwork,
-    params: AgentParams,
-    y0: np.ndarray,
-    sweeps: int,
-) -> np.ndarray:
-    """Plain synchronous opinion iteration with frozen actions; converges to
-    the fixed point at geometric rate bounded by max(1 - lam).  Kept as an
-    independent cross-check of the direct solve."""
-    y = np.asarray(y0, dtype=float).copy()
-    x = np.asarray(x, dtype=float)
-    for _ in range(sweeps):
-        y = opinion_update(net.W.weights @ y, x, params.lam)
-    return y
-
-
-def _profiles(k: int) -> np.ndarray:
-    """All 2^k action profiles of k agents as floats, in lexicographic order
-    with -1 < +1 and the first agent most significant."""
-    codes = np.arange(1 << k)
-    return 2.0 * ((codes[:, None] >> np.arange(k - 1, -1, -1)) & 1) - 1.0
-
-
 def _sum_by_agent(start: np.ndarray, xs: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """start + xs @ gain, accumulated one agent (column of ``xs``) at a time.
     A BLAS product's bits depend on how many rows it multiplies; these do not."""
@@ -94,16 +69,23 @@ def _sum_by_agent(start: np.ndarray, xs: np.ndarray, gain: np.ndarray) -> np.nda
     return out
 
 
+def _parts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the profile, discriminant and opinion columns of rows of F."""
+    n = rows.shape[-1] // 3
+    return rows[..., :n], rows[..., n:2 * n], rows[..., 2 * n:]
+
+
 @dataclass(frozen=True)
 class AffineSystem:
     """The affine map F(x) = (x, M x + c, S x) of an action profile x, whose
     parts are the profile, the discriminants delta and the opinion fixed
     point y*, plus the tie band of each agent's discriminant.
 
-    F is summed agent by agent over the leading n - n // 2 agents (from the
-    offset (0, c, 0)) and over the trailing n // 2 (from zero), so a profile
-    evaluated alone gets the same bits as the sum of its two rows in the
-    tables over all half-profiles, from which the enumeration reads it.
+    F is summed agent by agent in order 0..n-1 from the offset (0, c, 0), as
+    ``_sum_by_agent`` sums it.  Actions are +-1, so each agent adds or
+    subtracts its gain row exactly, and the enumeration, which extends
+    prefixes of a profile one agent at a time, reaches the same bits as
+    ``candidate`` does for the profile alone.
     """
 
     gain: np.ndarray  # row j: what agent j's action adds to F
@@ -125,26 +107,16 @@ class AffineSystem:
         zeros = np.zeros(n)
         return cls(np.hstack([np.eye(n), m_t, s.T]), np.concatenate([zeros, c, zeros]), band)
 
-    def halves(self, x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """F's parts from the leading and the trailing agents: of the one
-        profile ``x`` (floats), or by default over every half-profile in
-        lexicographic order, so that profile code p * 2^(n // 2) + q has
-        F = lead[p] + trail[q]."""
-        n = len(self.band)
-        k = n - n // 2
-        lead, trail = (_profiles(k), _profiles(n - k)) if x is None else (x[None, :k], x[None, k:])
-        return (_sum_by_agent(self.offset, lead, self.gain[:k]),
-                _sum_by_agent(np.zeros_like(self.offset), trail, self.gain[k:]))
-
-    def consistent(self, rows: np.ndarray) -> np.ndarray:
+    def consistent(self, rows: np.ndarray, slack=0.0) -> np.ndarray:
         """False where some agent's discriminant points against its action by
-        more than its tie band; actions are +-1, so x * delta is exact."""
-        x, delta, _ = np.split(rows, 3, axis=-1)
-        return ~np.any(x * delta < -self.band, axis=-1)
+        more than its tie band plus ``slack``; actions are +-1, or 0 for the
+        agents a prefix of a profile leaves unset, so x * delta is exact."""
+        x, delta, _ = _parts(rows)
+        return ~(x * delta < -(self.band + slack)).any(axis=-1)
 
     def marginal(self, rows: np.ndarray) -> np.ndarray:
         """True where some agent's discriminant lies inside its tie band."""
-        return np.any(np.abs(np.split(rows, 3, axis=-1)[1]) <= self.band, axis=-1)
+        return (np.abs(_parts(rows)[1]) <= self.band).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -168,7 +140,7 @@ def _records(system: AffineSystem, rows: np.ndarray, net: TwoLayerNetwork, param
     """Candidates for the profiles whose values of F are ``rows``.  The
     opinions y* are clipped to [-1, 1], which round-off in S x can overshoot
     by a few ulps, as ``PopulationState`` clips a state."""
-    x, delta, y = np.split(rows, 3, axis=-1)
+    x, delta, y = _parts(rows)
     _check_residual(x, y, net, params)
     y = np.clip(y, -1.0, 1.0)
     flags = zip(system.consistent(rows).tolist(), system.marginal(rows).tolist())
@@ -186,11 +158,11 @@ def candidate(
     x = np.asarray(x)
     if x.shape != (net.n,):
         raise ValueError("action profile size must match the network")
-    if not np.all((x == 1) | (x == -1)):
+    if x.dtype == bool or not np.all((x == 1) | (x == -1)):
         raise ValueError("actions must be exactly -1 or +1")
     system = AffineSystem.of(net, params)
-    lead, trail = system.halves(x.astype(float))
-    return _records(system, lead + trail, net, params)[0]
+    rows = _sum_by_agent(system.offset, x[None].astype(float), system.gain)
+    return _records(system, rows, net, params)[0]
 
 
 def enumerate_equilibria(
@@ -200,26 +172,45 @@ def enumerate_equilibria(
 ) -> list:
     """All consistent candidates over every action profile, in lexicographic
     profile order.  Every returned candidate also passes the payoff-based Nash
-    check; a consistent candidate that fails it raises ArithmeticError."""
+    check; a consistent candidate that fails it raises ArithmeticError.
+
+    A prefix row, which sets agents 0..j-1, is extended by -gain[j] and
+    +gain[j], what ``_sum_by_agent`` adds, so every profile gets
+    ``candidate``'s bits.  A prefix is dropped once some agent i it sets has
+    x_i delta_i < -(rest_i + 2 band_i): rest_i, the sum of |M_il| over the
+    unset agents l, bounds what they can still add, and the second band
+    covers the round-off of those additions, so nothing the test on the
+    whole profile keeps is lost.  Prefixes are extended depth-first in
+    chunks of at most _CHUNK rows, which bounds the memory and keeps the
+    profiles in lexicographic order.
+    """
     n = net.n
     if n > n_max:
         raise ValueError(f"enumeration supports at most n_max={n_max} agents, got {n}")
     system = AffineSystem.of(net, params)
-    lead, trail = system.halves()
-    step = max(1, _BLOCK // len(trail))
+    # row j: sum of |M_il| over the agents l > j, which a prefix up to j leaves unset
+    rest = np.cumsum(np.abs(system.gain[:0:-1, n:2 * n]), axis=0)[::-1]
+    slack = np.vstack([rest + system.band, np.zeros((1, n))])
+    signed = np.stack([-system.gain, system.gain], axis=1)  # agent j's -1 and +1 rows
     kept: list[EquilibriumCandidate] = []
-    for start in range(0, len(lead), step):
-        # profiles in lexicographic order, -1 < +1, agent 0 most significant
-        rows = (lead[start:start + step, None] + trail).reshape(-1, 3 * n)
-        rows = rows[system.consistent(rows)]
-        x, _, y = np.split(rows, 3, axis=-1)
-        slack = analysis.nash_slack(x, y, net, params)
-        failed = np.flatnonzero(np.any(slack < -analysis.NASH_TOL, axis=-1))
+    pending = [(0, system.offset[None])]  # (agent to set next, prefix rows)
+    while pending:
+        j, rows = pending.pop()
+        # -1 < +1 and agent 0 most significant: each row's two children in turn
+        rows = (rows[:, None] + signed[j]).reshape(-1, 3 * n)
+        rows = rows[system.consistent(rows, slack[j])]
+        if j + 1 < n:  # copies, so that no pending chunk keeps its siblings alive
+            pending += [(j + 1, rows[s:s + _CHUNK].copy())
+                        for s in reversed(range(0, len(rows), _CHUNK))]
+            continue
+        x, _, y = _parts(rows)
+        nash = analysis.nash_slack(x, y, net, params)
+        failed = np.flatnonzero(np.any(nash < -analysis.NASH_TOL, axis=-1))
         if failed.size:
             row = failed[0]
             raise ArithmeticError(
                 f"consistent candidate {x[row].astype(int).tolist()} fails the Nash check "
-                f"(worst slack {slack[row].min():.3e})"
+                f"(worst slack {nash[row].min():.3e})"
             )
         kept += _records(system, rows, net, params)
     return kept
@@ -232,45 +223,3 @@ def equilibria_to_json(candidates: list) -> str:
     ]
     return json.dumps(records, sort_keys=True)
 
-
-@dataclass(frozen=True)
-class CrossValidation:
-    ok: bool
-    issues: tuple
-    membership_checked: bool
-    opinion_gap: float
-
-
-def cross_validate(
-    trace: Trace,
-    net: TwoLayerNetwork,
-    params: AgentParams,
-    n_max: int = DEFAULT_N_MAX,
-    opinion_tol: float = 1e-8,
-) -> CrossValidation:
-    """Check a converged trace against the oracle: terminal opinions must match
-    the exact fixed point, and for populations small enough to enumerate the
-    terminal action profile must be a consistent candidate (profile
-    consistency is exactly membership in the enumeration)."""
-    if not trace.converged:
-        raise ValueError("cross-validation requires a converged trace")
-    final = trace.final()
-    issues: list[str] = []
-    y_star = opinion_fixed_point(final.actions, net, params)
-    gaps = np.abs(final.opinions - y_star)
-    gap = float(gaps.max())
-    if gap > opinion_tol:
-        for i in np.flatnonzero(gaps > opinion_tol):
-            issues.append(
-                f"agent {i + 1}: opinion {final.opinions[i]:.12g} is {gaps[i]:.3e} "
-                f"away from the fixed point {y_star[i]:.12g}"
-            )
-    membership_checked = net.n <= n_max
-    if membership_checked and not candidate(net, params, final.actions).consistent:
-        issues.append("terminal action profile is not an equilibrium candidate")
-    return CrossValidation(
-        ok=not issues,
-        issues=tuple(issues),
-        membership_checked=membership_checked,
-        opinion_gap=gap,
-    )

@@ -28,6 +28,7 @@ SINGLE_DEFINITIONS = {
     "thm2 diffusive bound": "(alpha + 1.0) / (alpha + 2.0)",
     "thm7 beta ceiling": "1.0 / (2.0 - lam)",
     "oracle tie band": "1e-12 * (np.abs(c) + np.abs(m_t).sum(axis=0))",
+    "payoff coordination coefficient": "eps * lam * (1.0 - beta) / 4.0",
 }
 PARAMETERS = {"lam", "beta", "eps", "alpha"}
 

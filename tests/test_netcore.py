@@ -92,6 +92,9 @@ def test_weights_are_immutable():
         {"lam": [0.5, float("nan")], "beta": [0.5, 0.5], "eps": [1, 1]},
         {"lam": [0.5, 0.5], "beta": [float("nan"), 0.5], "eps": [1, 1]},
         {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 1.7]},
+        {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [True, True]},  # no bool as +1
+        {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 1], "alpha": True},
+        {"lam": [0.5, 0.5], "beta": [0.5, 0.5], "eps": [1, 1], "alpha": np.True_},
     ],
 )
 def test_agent_params_rejects_out_of_range(kwargs):
@@ -110,6 +113,10 @@ def test_population_state_validation():
         PopulationState(actions=[1, 0], opinions=[0.0, 0.0])
     with pytest.raises(ValueError, match="exactly -1 or \\+1"):  # no truncation to [1, -1]
         PopulationState(actions=[1.5, -1.9], opinions=[0.0, 0.0])
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):  # no bool as +1
+        PopulationState(actions=[True, True], opinions=[0.0, 0.0])
+    with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+        PopulationState(actions=np.array([True, True]), opinions=[0.0, 0.0])
     z = PopulationState(actions=[1.0, -1.0], opinions=[0.0, 0.0])
     assert z.actions.tolist() == [1, -1] and z.actions.dtype.kind == "i"
     with pytest.raises(ValueError):

@@ -13,14 +13,12 @@ from coevnet import (
     is_nash,
     simulate,
 )
+from coevnet.dynamics import opinion_update
 from coevnet.genesis import complete_bipartite, initial_state, random_symmetric_stochastic
 from coevnet.oracle import (
-    CrossValidation,
     candidate,
-    cross_validate,
     enumerate_equilibria,
     equilibria_to_json,
-    iterate_opinions,
     opinion_fixed_point,
 )
 
@@ -54,6 +52,17 @@ def test_fixed_point_residual_bound():
         y = opinion_fixed_point(x, net, p)
         residual = np.max(np.abs(y - ((1 - p.lam) * (net.W.weights @ y) + p.lam * x)))
         assert residual <= 1e-12
+
+
+def iterate_opinions(x, net, params, y0, sweeps: int) -> np.ndarray:
+    """Plain synchronous opinion iteration with frozen actions; converges to
+    the fixed point at geometric rate bounded by max(1 - lam).  The
+    independent reference for the direct solve."""
+    y = np.asarray(y0, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
+    for _ in range(sweeps):
+        y = opinion_update(net.W.weights @ y, x, params.lam)
+    return y
 
 
 def test_fixed_point_unique_attractor_of_iteration():
@@ -160,10 +169,10 @@ def _consistency_cases():
     # uniform complete-bipartite graphs: payoff ties make marginal candidates
     for n, eps, alpha in ((8, -1, 0.0), (6, -1, 0.5), (6, 1, 2.0), (10, -1, 0.0), (8, 1, 0.0)):
         yield _bipartite(n), uniform_params(n, 0.5, 0.5, eps, alpha), range(2 ** n), True
-    # n = 15 spans four profile blocks of 2^13.  Agent 0 anti-coordinates
-    # against a coordinating rest, so both profiles at the middle block
-    # boundary are equilibria; the profiles near every block edge are checked
-    # one by one.
+    # n = 15 takes the enumeration through many chunks.  Agent 0
+    # anti-coordinates against a coordinating rest, so both profiles where
+    # agent 0's action flips are equilibria; the profiles near every multiple
+    # of 2^13 are checked one by one.
     n, edge = 15, 256
     p = AgentParams(np.full(n, 0.5), np.full(n, 0.2), np.array([-1] + [1] * (n - 1)))
     codes = [code for b in range(0, 2 ** n + 1, 2 ** 13)
@@ -226,6 +235,25 @@ def test_enumeration_against_the_exact_per_profile_rule():
     assert gained  # the tie-heavy graphs keep ties that round-off used to drop
 
 
+def test_pruned_enumeration_keeps_every_consistent_profile():
+    # pruning must not drop, add or reorder a profile, nor change a marginal
+    # flag; the tie-heavy bipartite graph at n = 12 keeps more prefixes than
+    # one chunk holds, so its prefixes are split
+    rng = np.random.default_rng(29)
+    cases = [(rand_net(n, seed=4000 + n),
+              uniform_params(n, float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8)),
+                             eps, alpha))
+             for n, eps, alpha in ((9, -1, 0.0), (10, 1, 0.5), (11, -1, 2.0), (12, 1, 0.0),
+                                   (12, -1, 0.5))]
+    cases += [(_bipartite(n), uniform_params(n, 0.5, 0.5, eps, 0.0))
+              for n, eps in ((10, 1), (12, -1))]
+    for net, p in cases:
+        every = (candidate(net, p, np.array(x)) for x in _profiles_of(range(2 ** net.n), net.n))
+        expected = [(tuple(c.x.tolist()), c.marginal) for c in every if c.consistent]
+        kept = [(tuple(c.x.tolist()), c.marginal) for c in enumerate_equilibria(net, p)]
+        assert kept == expected, (net.n, p.eps[0], p.alpha)
+
+
 def test_consistent_candidates_are_nash_and_vice_versa():
     rng = np.random.default_rng(17)
     for k in range(30):
@@ -282,6 +310,13 @@ def test_equilibria_json_schema(two_node_net):
     assert payload[0]["x"] == [-1, -1]  # lexicographic with -1 < +1
 
 
+def test_candidate_rejects_boolean_actions(two_node_net):
+    p = uniform_params(2, 0.5, 0.5, -1)
+    with pytest.raises(ValueError, match=r"exactly -1 or \+1"):
+        candidate(two_node_net, p, np.array([True, True]))
+    assert candidate(two_node_net, p, np.array([1.0, -1.0])).consistent
+
+
 # --- thm6 audit against the oracle ---------------------------------------------------
 
 
@@ -299,66 +334,16 @@ def test_thm6_bipartite_audit_against_enumeration():
     assert np.all(cand.y_star[:3] > 0) and np.all(cand.y_star[3:] < 0)
 
 
-# --- trace cross-validation -----------------------------------------------------------
+# --- converged runs ------------------------------------------------------------------
 
 
-def _converged_trace(n, seed):
+def test_converged_run_is_a_consistent_candidate():
+    n, seed = 8, 41
     net = rand_net(n, seed=seed)
     p = uniform_params(n, 0.5, 0.6, -1)
     z0 = initial_state("random", n, seed + 1)
     trace = simulate(z0, net, p, ActivationSchedule.round_robin(n),
                      StopCriterion(max_steps=5000))
-    return trace, net, p
-
-
-def test_cross_validate_accepts_converged_run():
-    trace, net, p = _converged_trace(8, 41)
     assert trace.converged
-    report = cross_validate(trace, net, p)
-    assert isinstance(report, CrossValidation)
-    assert report.ok and report.membership_checked
-    assert report.opinion_gap <= 1e-8
-
-
-def test_cross_validate_size_gate_skips_membership():
-    net = TwoLayerNetwork.single_layer(random_symmetric_stochastic(30, 43))
-    p = uniform_params(30, 0.5, 0.8, -1)
-    z0 = initial_state("positive_opinions", 30, 44)
-    trace = simulate(z0, net, p, ActivationSchedule.uniform_random(30, 45),
-                     StopCriterion(max_steps=18000))
-    assert trace.converged
-    report = cross_validate(trace, net, p)
-    assert report.ok and not report.membership_checked
-
-
-def test_cross_validate_flags_truncated_trace():
-    trace, net, p = _converged_trace(6, 47)
-    # corrupt the terminal opinions: pretend the run stopped mid-transient
-    z_bad = PopulationState(actions=trace.final().actions,
-                            opinions=np.clip(trace.final().opinions + 0.05, -1, 1))
-    bad = type(trace)(
-        z0=trace.z0,
-        log=trace.log + (tuple(
-            (i, int(z_bad.actions[i]), float(z_bad.opinions[i]), 0.0) for i in range(z_bad.n)
-        ),),
-        final_state=z_bad, reason="converged", schedule_kind=trace.schedule_kind,
-        seed=trace.seed, window_used=trace.window_used,
-        realized_cover=trace.realized_cover, fixed_point_gap=None,
-        params=p, net=net,
-    )
-    report = cross_validate(bad, net, p)
-    assert not report.ok
-    assert any("agent" in issue and "opinion" in issue for issue in report.issues)
-
-
-def test_cross_validate_requires_convergence():
-    trace, net, p = _converged_trace(5, 53)
-    unconverged = type(trace)(
-        z0=trace.z0, log=trace.log, final_state=trace.final(),
-        reason="max_steps", schedule_kind=trace.schedule_kind,
-        seed=trace.seed, window_used=trace.window_used,
-        realized_cover=trace.realized_cover, fixed_point_gap=None,
-        params=p, net=net,
-    )
-    with pytest.raises(ValueError, match="converged"):
-        cross_validate(unconverged, net, p)
+    assert trace.fixed_point_gap <= 1e-8
+    assert candidate(net, p, trace.final().actions).consistent
